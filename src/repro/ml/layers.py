@@ -115,7 +115,8 @@ class Conv1D(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         n, c, length = x.shape
         left, right = self._pad_amounts()
-        xp = np.pad(x, ((0, 0), (0, 0), (left, right)))
+        xp = np.zeros((n, c, length + left + right))
+        xp[:, :, left : left + length] = x
         out_len = xp.shape[2] - self.kernel_size + 1
         # im2col: (n, c*k, out_len)
         idx = np.arange(self.kernel_size)[None, :] + np.arange(out_len)[:, None]
@@ -141,8 +142,10 @@ class Conv1D(Layer):
         dcols = dcols.reshape(n, out_len, c, self.kernel_size).transpose(0, 2, 1, 3)
         left, right = self._pad_amounts()
         dxp = np.zeros((n, c, length + left + right))
-        idx = np.arange(self.kernel_size)[None, :] + np.arange(out_len)[:, None]
-        np.add.at(dxp, (slice(None), slice(None), idx), dcols)
+        # col2im: position i takes tap j of output i - j; accumulate the
+        # taps from last to first, the order scatter-adding cols would use.
+        for j in reversed(range(self.kernel_size)):
+            dxp[:, :, j : j + out_len] += dcols[..., j]
         return dxp[:, :, left : left + length]
 
     def params(self) -> list[np.ndarray]:
@@ -167,11 +170,17 @@ class MaxPool1D(Layer):
         p = self.pool_size
         out_len = length // p
         trimmed = x[:, :, : out_len * p].reshape(n, c, out_len, p)
-        out = trimmed.max(axis=3)
-        self._mask = trimmed == out[..., None]
-        # break ties: keep only the first max per pool
-        cum = np.cumsum(self._mask, axis=3)
-        self._mask &= cum == 1
+        # One sweep over the pool taps for the max, one for the mask that
+        # routes each pool's gradient to its first maximum only.
+        out = trimmed[..., 0].copy()
+        for tap in range(1, p):
+            np.maximum(out, trimmed[..., tap], out=out)
+        self._mask = mask = np.empty(trimmed.shape, dtype=bool)
+        taken = np.equal(trimmed[..., 0], out, out=mask[..., 0]).copy()
+        for tap in range(1, p):
+            hit = np.equal(trimmed[..., tap], out, out=mask[..., tap])
+            hit &= ~taken
+            taken |= hit
         self._x_shape = (n, c, length)
         return out
 
@@ -274,12 +283,27 @@ class Adam:
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
+        self._buffers = [(np.empty_like(p), np.empty_like(p)) for p in params]
 
     def step(self, grads: list[np.ndarray]) -> None:
+        """One update in place, in the operation order of
+        ``param -= lr * m_hat / (sqrt(v_hat) + eps)``, so it rounds the same."""
         self.t += 1
-        for i, (param, grad) in enumerate(zip(self.params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * grad
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * grad**2
-            m_hat = self.m[i] / (1 - self.beta1**self.t)
-            v_hat = self.v[i] / (1 - self.beta2**self.t)
-            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m_scale = 1 - self.beta1**self.t
+        v_scale = 1 - self.beta2**self.t
+        for param, grad, m, v, (step, denom) in zip(
+            self.params, grads, self.m, self.v, self._buffers
+        ):
+            m *= self.beta1
+            m += np.multiply(grad, 1 - self.beta1, out=step)
+            v *= self.beta2
+            np.square(grad, out=step)
+            step *= 1 - self.beta2
+            v += step
+            np.divide(v, v_scale, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.divide(m, m_scale, out=step)
+            step *= self.lr
+            step /= denom
+            param -= step

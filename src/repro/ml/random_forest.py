@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.preprocessing import NotFittedError
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, _bin_features, _check_fit_inputs
 
 
 class RandomForestClassifier:
@@ -37,9 +37,9 @@ class RandomForestClassifier:
         self.n_classes_: int = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
+        X, y = _check_fit_inputs(X, y)
         self.n_classes_ = int(y.max()) + 1
+        codes, values = _bin_features(X)
         rng = np.random.default_rng(self.random_state)
         self.trees_ = []
         n = len(X)
@@ -54,7 +54,7 @@ class RandomForestClassifier:
                 max_features=self.max_features,
                 random_state=int(rng.integers(0, 2**31)),
             )
-            tree.fit(X[idx], y[idx])
+            tree._fit_binned(codes[:, idx], values, y[idx], self.n_classes_)
             self.trees_.append(tree)
         return self
 

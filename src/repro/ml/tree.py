@@ -1,9 +1,18 @@
-"""CART decision trees with vectorised Gini splitting.
+"""CART decision trees with exact-histogram Gini splitting.
 
-The building block of the Random Forest.  Split search is fully
-vectorised: for each candidate feature the labels are ordered by feature
-value and per-class prefix sums give the Gini impurity of every possible
-threshold in O(n) after the sort.
+The building block of the Random Forest.  ``fit`` bins every feature
+once into its sorted distinct values, so each row carries an integer
+code per feature (the forest bins once and shares the codes across its
+trees).  At a node, one ``bincount`` over ``code * n_classes + label``
+gives the class counts per distinct value; a node holding far fewer
+rows than the feature has distinct values counts from its own sorted
+codes instead.  Per-class prefix sums over the values present in the
+node then give the Gini impurity of every threshold between neighbouring
+values, in O(values present) rather than O(rows).
+
+The search is exact: it scores the same candidates with the same float
+expression as sorting the node's rows would, so trees, thresholds and
+the feature-subsampling random stream do not depend on the binning.
 """
 
 from __future__ import annotations
@@ -11,6 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.preprocessing import NotFittedError
+
+#: A node counts from its own sorted codes when the feature has more
+#: than this many distinct values per row in the node.
+_SORTED_ABOVE = 8
 
 
 class _Node:
@@ -31,37 +44,80 @@ class _Node:
         return self.left is None
 
 
-def _gini_best_split(
-    x: np.ndarray, y_onehot: np.ndarray, min_samples_leaf: int
-) -> tuple[float, float] | None:
-    """Best (gain-proxy, threshold) for one feature column, or None.
+def _check_fit_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    if X.ndim != 2 or len(X) != len(y):
+        raise ValueError("X must be 2-D and aligned with y")
+    if not np.isfinite(X).all():
+        raise ValueError("X contains NaN or infinity")
+    return X, y
 
-    Returns the *negative weighted Gini* (higher is better) so callers
-    can compare across features without re-deriving parent impurity.
+
+def _bin_features(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per-feature sorted distinct values, and each row's code into them.
+
+    Codes are feature-major, shape ``(n_features, n_samples)``.
     """
-    order = np.argsort(x, kind="stable")
-    x_sorted = x[order]
-    n = len(x_sorted)
-    cum = np.cumsum(y_onehot[order], axis=0)  # per-class prefix counts
-    total = cum[-1]
-    # Candidate split after position i (left = [0..i]), i in [0, n-2].
-    left_counts = cum[:-1]
+    codes = np.empty((X.shape[1], len(X)), dtype=np.intp)
+    values = []
+    for feature in range(X.shape[1]):
+        distinct, codes[feature] = np.unique(X[:, feature], return_inverse=True)
+        values.append(distinct)
+    return codes, values
+
+
+def _value_class_counts(
+    codes: np.ndarray, y: np.ndarray, n_values: int, n_classes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct codes present in a node (ascending), their row counts,
+    and their class counts ``(n_present, n_classes)``."""
+    if n_values <= _SORTED_ABOVE * len(codes):
+        sizes = np.bincount(codes, minlength=n_values)
+        present = np.flatnonzero(sizes)
+        counts = np.bincount(codes * n_classes + y, minlength=n_values * n_classes)
+        return present, sizes[present], counts.reshape(n_values, n_classes)[present]
+    # np.unique(codes, return_inverse=True) spelled out: at small node
+    # sizes its Python-level overhead would cost more than the counting.
+    ordered = np.sort(codes)
+    first = np.empty(len(codes), dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    present = ordered[first]
+    inverse = present.searchsorted(codes)
+    sizes = np.bincount(inverse, minlength=len(present))
+    counts = np.bincount(inverse * n_classes + y, minlength=len(present) * n_classes)
+    return present, sizes, counts.reshape(len(present), n_classes)
+
+
+def _best_boundary(
+    sizes: np.ndarray, counts: np.ndarray, total: np.ndarray, min_samples_leaf: int
+) -> tuple[float, int] | None:
+    """Best (negative weighted Gini, boundary) over a node's distinct values.
+
+    ``sizes`` and ``counts`` are the rows and class counts per value,
+    ``total`` the node's class counts.  Boundary ``i`` sends the first
+    ``i + 1`` values left.  The score is the *negative weighted Gini*
+    (higher is better) so callers can compare across features without
+    re-deriving parent impurity.
+    """
+    n = int(sizes.sum())
+    n_left = sizes[:-1].cumsum()
+    # n_left rises strictly, so the boundaries leaving min_samples_leaf
+    # rows on each side form one contiguous run.
+    lo = int(n_left.searchsorted(min_samples_leaf, side="left"))
+    hi = int(n_left.searchsorted(n - min_samples_leaf, side="right"))
+    if lo >= hi:
+        return None
+    left_counts = counts[:hi].cumsum(axis=0)[lo:]
     right_counts = total - left_counts
-    n_left = np.arange(1, n)
+    n_left = n_left[lo:hi]
     n_right = n - n_left
-    valid = (x_sorted[1:] != x_sorted[:-1])
-    valid &= (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
-    if not valid.any():
-        return None
-    gini_left = 1.0 - np.sum((left_counts / n_left[:, None]) ** 2, axis=1)
-    gini_right = 1.0 - np.sum((right_counts / n_right[:, None]) ** 2, axis=1)
+    gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
+    gini_right = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=1)
     weighted = (n_left * gini_left + n_right * gini_right) / n
-    weighted[~valid] = np.inf
-    best = int(np.argmin(weighted))
-    if not np.isfinite(weighted[best]):
-        return None
-    threshold = 0.5 * (x_sorted[best] + x_sorted[best + 1])
-    return -float(weighted[best]), float(threshold)
+    best = int(weighted.argmin())
+    return -float(weighted[best]), lo + best
 
 
 class DecisionTreeClassifier:
@@ -98,26 +154,37 @@ class DecisionTreeClassifier:
         return min(int(self.max_features), n_features)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
-        if X.ndim != 2 or len(X) != len(y):
-            raise ValueError("X must be 2-D and aligned with y")
-        self.n_classes_ = int(y.max()) + 1 if y.size else 1
-        self.n_features_ = X.shape[1]
+        X, y = _check_fit_inputs(X, y)
+        codes, values = _bin_features(X)
+        return self._fit_binned(codes, values, y, int(y.max()) + 1 if y.size else 1)
+
+    def _fit_binned(
+        self, codes: np.ndarray, values: list[np.ndarray], y: np.ndarray, n_classes: int
+    ) -> "DecisionTreeClassifier":
+        """Grow the tree from feature-major ``codes`` into ``values``."""
+        self.n_classes_ = n_classes
+        self.n_features_ = len(values)
         self.node_count_ = 0
         rng = np.random.default_rng(self.random_state)
-        y_onehot = np.zeros((len(y), self.n_classes_))
-        y_onehot[np.arange(len(y)), y] = 1.0
-        self.root_ = self._build(X, y_onehot, depth=0, rng=rng)
+        self.root_ = self._build(codes, values, y, np.arange(len(y)), depth=0, rng=rng)
         return self
 
-    def _build(self, X: np.ndarray, y_onehot: np.ndarray, depth: int, rng) -> _Node:
+    def _build(
+        self,
+        codes: np.ndarray,
+        values: list[np.ndarray],
+        labels: np.ndarray,
+        rows: np.ndarray,
+        depth: int,
+        rng,
+    ) -> _Node:
         node = _Node()
         self.node_count_ += 1
-        counts = y_onehot.sum(axis=0)
-        node.counts = counts
+        y = labels[rows]
+        total = np.bincount(y, minlength=self.n_classes_)
+        counts = node.counts = total.astype(float)
         node.prediction = int(np.argmax(counts))
-        n = len(X)
+        n = len(rows)
         pure = counts.max() == n
         too_deep = self.max_depth is not None and depth >= self.max_depth
         if pure or too_deep or n < self.min_samples_split:
@@ -129,20 +196,25 @@ class DecisionTreeClassifier:
             else rng.choice(self.n_features_, size=k, replace=False)
         )
         best_score = -np.inf
-        best_feature = -1
-        best_threshold = 0.0
+        best = None
         for feature in features:
-            result = _gini_best_split(X[:, feature], y_onehot, self.min_samples_leaf)
+            column = codes[feature][rows]
+            distinct = values[feature]
+            present, sizes, value_counts = _value_class_counts(
+                column, y, len(distinct), self.n_classes_
+            )
+            result = _best_boundary(sizes, value_counts, total, self.min_samples_leaf)
             if result is not None and result[0] > best_score:
-                best_score, best_threshold = result
-                best_feature = int(feature)
-        if best_feature < 0:
+                best_score, boundary = result
+                low, high = distinct[present[boundary]], distinct[present[boundary + 1]]
+                best = int(feature), float(0.5 * (low + high)), column
+        if best is None:
             return node
-        mask = X[:, best_feature] <= best_threshold
-        node.feature = best_feature
-        node.threshold = best_threshold
-        node.left = self._build(X[mask], y_onehot[mask], depth + 1, rng)
-        node.right = self._build(X[~mask], y_onehot[~mask], depth + 1, rng)
+        node.feature, node.threshold, column = best
+        # values[code] <= threshold, in code space (values are sorted).
+        mask = column < np.searchsorted(values[node.feature], node.threshold, side="right")
+        node.left = self._build(codes, values, labels, rows[mask], depth + 1, rng)
+        node.right = self._build(codes, values, labels, rows[~mask], depth + 1, rng)
         return node
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml import AutoencoderDetector, CnnClassifier, accuracy_score
+from repro.ml import cnn as cnn_module
 from repro.ml.cnn import Sequential
 from repro.ml.layers import (
     Adam,
@@ -34,6 +35,128 @@ def numeric_gradient(f, x, eps=1e-6):
         flat[i] = old
         gflat[i] = (hi - lo) / (2 * eps)
     return grad
+
+
+# --- Oracle kernels: the allocation-heavy versions the layers replaced.
+
+
+class OracleConv1D(Conv1D):
+    def forward(self, x, training=False):
+        n, c, length = x.shape
+        left, right = self._pad_amounts()
+        xp = np.pad(x, ((0, 0), (0, 0), (left, right)))
+        out_len = xp.shape[2] - self.kernel_size + 1
+        idx = np.arange(self.kernel_size)[None, :] + np.arange(out_len)[:, None]
+        cols = xp[:, :, idx].transpose(0, 2, 1, 3).reshape(n, out_len, c * self.kernel_size)
+        self._cols = cols
+        self._x_shape = (n, c, length)
+        w2 = self.W.reshape(self.W.shape[0], -1)
+        return (cols @ w2.T + self.b).transpose(0, 2, 1)
+
+    def backward(self, grad):
+        n, c, length = self._x_shape
+        g = grad.transpose(0, 2, 1)
+        out_len = g.shape[1]
+        w2 = self.W.reshape(self.W.shape[0], -1)
+        self.dW[...] = np.einsum("nof,nok->fk", g, self._cols).reshape(self.W.shape)
+        self.db[...] = g.sum(axis=(0, 1))
+        dcols = (g @ w2).reshape(n, out_len, c, self.kernel_size).transpose(0, 2, 1, 3)
+        left, right = self._pad_amounts()
+        dxp = np.zeros((n, c, length + left + right))
+        idx = np.arange(self.kernel_size)[None, :] + np.arange(out_len)[:, None]
+        np.add.at(dxp, (slice(None), slice(None), idx), dcols)
+        return dxp[:, :, left : left + length]
+
+
+class OracleMaxPool1D(MaxPool1D):
+    def forward(self, x, training=False):
+        n, c, length = x.shape
+        p = self.pool_size
+        out_len = length // p
+        trimmed = x[:, :, : out_len * p].reshape(n, c, out_len, p)
+        out = trimmed.max(axis=3)
+        self._mask = trimmed == out[..., None]
+        self._mask &= np.cumsum(self._mask, axis=3) == 1
+        self._x_shape = (n, c, length)
+        return out
+
+
+class OracleAdam(Adam):
+    def step(self, grads):
+        self.t += 1
+        for i, (param, grad) in enumerate(zip(self.params, grads)):
+            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * grad
+            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * grad**2
+            m_hat = self.m[i] / (1 - self.beta1**self.t)
+            v_hat = self.v[i] / (1 - self.beta2**self.t)
+            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+class TestKernelsMatchOracle:
+    """The in-place / slice-based kernels round exactly like the oracle."""
+
+    @pytest.mark.parametrize("kernel_size", [2, 3, 5])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("channels", [1, 4])
+    def test_conv1d_forward_backward(self, kernel_size, padding, channels):
+        fast = Conv1D(channels, 6, kernel_size, rng=np.random.default_rng(1), padding=padding)
+        oracle = OracleConv1D(channels, 6, kernel_size, rng=np.random.default_rng(1), padding=padding)
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(9, channels, 11))
+        out = fast.forward(x)
+        assert_bits_equal(out, oracle.forward(x))
+        grad = rng.normal(size=out.shape)
+        assert_bits_equal(fast.backward(grad), oracle.backward(grad))
+        assert_bits_equal(fast.dW, oracle.dW)
+        assert_bits_equal(fast.db, oracle.db)
+
+    @pytest.mark.parametrize("pool_size", [1, 2, 3])
+    def test_maxpool_masks(self, pool_size):
+        rng = np.random.default_rng(3)
+        # ReLU output: many +0.0 and -0.0, so most pools hold ties.
+        v = rng.integers(-3, 3, size=(5, 4, 13)).astype(float)
+        x = v * (v > 0)
+        assert np.signbit(x[x == 0]).any() and not np.signbit(x[x == 0]).all()
+        fast, oracle = MaxPool1D(pool_size), OracleMaxPool1D(pool_size)
+        assert_bits_equal(fast.forward(x), oracle.forward(x))
+        np.testing.assert_array_equal(fast._mask, oracle._mask)
+        grad = rng.normal(size=(5, 4, 13 // pool_size))
+        assert_bits_equal(fast.backward(grad), oracle.backward(grad))
+
+    def test_adam_steps(self):
+        rng = np.random.default_rng(4)
+        start = [rng.normal(size=(7, 3)), rng.normal(size=5)]
+        fast_params = [p.copy() for p in start]
+        oracle_params = [p.copy() for p in start]
+        fast, oracle = Adam(fast_params, lr=0.01), OracleAdam(oracle_params, lr=0.01)
+        for _ in range(25):
+            grads = [rng.normal(size=p.shape) * rng.choice([1e-6, 1.0, 1e3]) for p in start]
+            fast.step(grads)
+            oracle.step(grads)
+        for a, b in zip(fast_params + fast.m + fast.v, oracle_params + oracle.m + oracle.v):
+            assert_bits_equal(a, b)
+
+    def test_cnn_fit_matches_oracle_kernels(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        X = rng.normal(0, 1, (300, 13))
+        y = (X[:, :3].sum(axis=1) > 0).astype(int)
+        spec = dict(n_features=13, conv_channels=(4, 8), hidden=24, epochs=3,
+                    batch_size=64, random_state=4)
+        fast = CnnClassifier(**spec).fit(X, y)
+        monkeypatch.setattr(cnn_module, "Conv1D", OracleConv1D)
+        monkeypatch.setattr(cnn_module, "MaxPool1D", OracleMaxPool1D)
+        monkeypatch.setattr(cnn_module, "Adam", OracleAdam)
+        oracle = CnnClassifier(**spec).fit(X, y)
+        assert isinstance(oracle.net.layers[0], OracleConv1D)
+        assert fast.net.history == oracle.net.history
+        for a, b in zip(fast.net.params(), oracle.net.params()):
+            assert_bits_equal(a, b)
+        np.testing.assert_array_equal(fast.predict_proba(X), oracle.predict_proba(X))
 
 
 class TestGradientChecks:
@@ -95,6 +218,13 @@ class TestGradientChecks:
         layer.forward(x)
         dx = layer.backward(np.array([[[1.0]]]))
         assert dx.sum() == 1.0
+
+    def test_maxpool_tie_routes_to_first_max_of_three(self):
+        layer = MaxPool1D(3)
+        x = np.array([[[2.0, 5.0, 5.0, 4.0, 4.0, 4.0, 1.0]]])
+        np.testing.assert_array_equal(layer.forward(x), [[[5.0, 4.0]]])
+        dx = layer.backward(np.array([[[1.0, 2.0]]]))
+        np.testing.assert_array_equal(dx, [[[0.0, 1.0, 0.0, 2.0, 0.0, 0.0, 0.0]]])
 
     def test_relu(self):
         layer = ReLU()
