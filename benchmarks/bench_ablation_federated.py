@@ -31,7 +31,7 @@ def run_federated(train_capture, detect_capture, testbed, scenario):
         include_timestamp=False,
         stat_set="normalized",
     )
-    X_all, y_all, window_ids = extractor.transform(train_capture.records)
+    X_all, y_all, window_ids = extractor.transform(train_capture.to_batch())
     scaler = StandardScaler().fit(X_all)
     # Hold out every 4th packet for global evaluation; clients train on
     # the rest of the traffic they observe during their duty cycles.

@@ -40,7 +40,7 @@ def sweep(train_capture, detect_capture, seed):
     )
     for i, period in enumerate(PERIODS):
         extractor = spec.make_extractor(period)
-        X, y, _ = extractor.transform(train_capture.records)
+        X, y, _ = extractor.transform(train_capture.to_batch())
         X_train, X_test, y_train, _ = train_test_split(X, y, seed=seed)
         scaler = StandardScaler().fit(X_train)
         model = spec.factory(X.shape[1])

@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""Time the feature pipeline: legacy per-record vs vectorized columnar.
+"""Time the columnar feature pipeline.
 
 Runs offline `FeatureExtractor.transform` and per-window IDS latency on
 a synthetic capture (default 100k packets) and appends the results to
 the ``BENCH_features.json`` history at the repo root (compare runs
 across commits with ``ddoshield bench-compare``).  ``--smoke`` runs a tiny
-capture for CI (seconds, exercises the vectorized path end to end
-including the legacy-equivalence assertion, but makes no speedup claim).
+capture for CI (seconds, exercises the columnar path end to end, but
+makes no performance claim).
 
     PYTHONPATH=src python benchmarks/bench_features.py
     PYTHONPATH=src python benchmarks/bench_features.py --smoke

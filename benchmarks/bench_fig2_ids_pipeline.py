@@ -12,19 +12,18 @@ import time
 
 import numpy as np
 
-from repro.features.window import iter_windows
-
 from conftest import write_result
 
 
 def stage_latencies(detect_capture, trained, scenario):
     """Per-stage wall latency for the busiest window, per model."""
-    windows = list(iter_windows(detect_capture.records, scenario.window_seconds))
+    windows = list(detect_capture.to_batch().window_slices(scenario.window_seconds))
     _, busiest = max(windows, key=lambda pair: len(pair[1]))
+    records = busiest.to_records()
     rows = []
     for item in trained:
         t0 = time.perf_counter()
-        for record in busiest:  # stage 1: monitoring hand-off
+        for record in records:  # stage 1: monitoring hand-off
             pass
         t1 = time.perf_counter()
         X = item.extractor.transform_window(busiest)  # stage 2a: features

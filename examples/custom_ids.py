@@ -61,7 +61,7 @@ def main() -> None:
     extractor = FeatureExtractor(
         stat_set="normalized", include_details=True, include_timestamp=False
     )
-    X, y, _ = extractor.transform(train.records)
+    X, y, _ = extractor.transform(train.to_batch())
     X_train, _, y_train, _ = train_test_split(X, y, seed=3)
 
     # Custom rule-based detector: operates on raw (unscaled) features.

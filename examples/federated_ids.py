@@ -26,7 +26,7 @@ def main() -> None:
     extractor = FeatureExtractor(
         stat_set="normalized", include_details=True, include_timestamp=False
     )
-    X, y, window_ids = extractor.transform(capture.records)
+    X, y, window_ids = extractor.transform(capture.to_batch())
     scaler = StandardScaler().fit(X)
     Xs = scaler.transform(X)
 

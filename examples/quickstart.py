@@ -31,7 +31,7 @@ def main() -> None:
         include_details=True,
         include_timestamp=False,
     )
-    X, y, _ = extractor.transform(train.records)
+    X, y, _ = extractor.transform(train.to_batch())
     X_train, X_test, y_train, y_test = train_test_split(X, y, seed=1)
     scaler = StandardScaler().fit(X_train)
     model = KMeansDetector(n_clusters=40, auto_k=False, random_state=1)

@@ -3,8 +3,11 @@
 The paper's workflow inspects captures with external tools (Wireshark);
 this module provides the equivalent programmatic views: per-flow
 aggregates (the conversation list), top-talker rankings, per-second rate
-series, and ground-truth attack interval extraction — the pieces the
-examples and benchmarks use to describe what a run actually contained.
+series, and ground-truth attack interval extraction, for describing what
+a run actually contained.  No pipeline stage, example or benchmark calls
+them; they are a toolbox for interactive inspection.  They walk
+:class:`~repro.sim.tracing.PacketRecord` rows, such as the ones a
+:class:`~repro.capture.dataset.TrafficDataset` builds on iteration.
 """
 
 from __future__ import annotations

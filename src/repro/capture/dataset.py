@@ -1,10 +1,13 @@
 """Labelled traffic datasets.
 
-A :class:`TrafficDataset` wraps an ordered list of
-:class:`~repro.sim.tracing.PacketRecord` rows with the operations the
-evaluation needs: class balance summaries (the paper's §IV-D dataset
-composition), chronological and stratified splits, per-attack breakdowns,
-and CSV round-trips for offline analysis.
+A :class:`TrafficDataset` holds one time-ordered
+:class:`~repro.features.columnar.RecordBatch` — the capture as columns,
+exactly as the probe handed it over and the feature pipeline reads it —
+with the operations the evaluation needs: class balance summaries (the
+paper's §IV-D dataset composition), chronological and stratified splits,
+per-attack breakdowns, and CSV round-trips for offline analysis.
+:class:`~repro.sim.tracing.PacketRecord` rows are built once, on demand,
+only for callers that iterate or index the dataset.
 """
 
 from __future__ import annotations
@@ -16,22 +19,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from repro.features.columnar import RecordBatch
-from repro.sim.tracing import PacketRecord
+import numpy as np
 
-_CSV_FIELDS = [
-    "timestamp",
-    "src_ip",
-    "dst_ip",
-    "protocol",
-    "src_port",
-    "dst_port",
-    "size",
-    "tcp_flags",
-    "seq",
-    "label",
-    "attack",
-]
+from repro.features.columnar import FIELDS, RecordBatch
+from repro.sim.tracing import PacketRecord
 
 
 @dataclass(frozen=True)
@@ -60,25 +51,32 @@ class DatasetSummary:
 
 
 class TrafficDataset:
-    """An ordered, labelled packet capture."""
+    """An ordered, labelled packet capture.
 
-    def __init__(self, records: Sequence[PacketRecord]) -> None:
-        self.records = list(records)
-        self._batch: RecordBatch | None = None
+    Built from a :class:`RecordBatch`, or from a sequence of
+    :class:`PacketRecord` rows, which is converted once.  Either way the
+    rows are held in time order.
+    """
+
+    def __init__(self, capture: RecordBatch | Sequence[PacketRecord]) -> None:
+        if not isinstance(capture, RecordBatch):
+            capture = RecordBatch.from_records(capture)
+        self._batch = capture
+        self._records: list[PacketRecord] | None = None
 
     def to_batch(self) -> RecordBatch:
-        """The capture as a columnar :class:`RecordBatch` (cached).
-
-        This is what the feature pipeline consumes; building it once per
-        capture amortises the row→column conversion across every model's
-        extraction pass.
-        """
-        if self._batch is None or len(self._batch) != len(self.records):
-            self._batch = RecordBatch.from_records(self.records)
+        """The capture as the columnar batch the feature pipeline consumes."""
         return self._batch
 
+    @property
+    def records(self) -> list[PacketRecord]:
+        """The capture as rows, in time order (built on first use)."""
+        if self._records is None:
+            self._records = self._batch.to_records()
+        return self._records
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._batch)
 
     def __iter__(self) -> Iterator[PacketRecord]:
         return iter(self.records)
@@ -88,23 +86,25 @@ class TrafficDataset:
 
     @property
     def labels(self) -> list[int]:
-        return [r.label for r in self.records]
+        return self._batch.label.tolist()
 
     @property
     def duration(self) -> float:
-        if not self.records:
+        timestamp = self._batch.timestamp
+        if len(timestamp) == 0:
             return 0.0
-        return self.records[-1].timestamp - self.records[0].timestamp
+        return float(timestamp[-1] - timestamp[0])
 
     def summary(self) -> DatasetSummary:
         """Compute the class-balance summary."""
-        malicious = sum(r.label for r in self.records)
-        by_attack = Counter(r.attack for r in self.records if r.label == 1)
+        batch = self._batch
+        malicious = batch.label == 1
+        n_malicious = int(batch.label.sum())
         return DatasetSummary(
-            total=len(self.records),
-            malicious=malicious,
-            benign=len(self.records) - malicious,
-            by_attack=dict(by_attack),
+            total=len(batch),
+            malicious=n_malicious,
+            benign=len(batch) - n_malicious,
+            by_attack=dict(Counter(batch.attack[malicious].tolist())),
             duration=self.duration,
         )
 
@@ -115,8 +115,12 @@ class TrafficDataset:
         """Split by capture time: train on the past, test on the future."""
         if not 0.0 < train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-        cut = int(len(self.records) * train_fraction)
-        return TrafficDataset(self.records[:cut]), TrafficDataset(self.records[cut:])
+        n = len(self)
+        cut = int(n * train_fraction)
+        return (
+            TrafficDataset(self._batch.slice(0, cut)),
+            TrafficDataset(self._batch.slice(cut, n)),
+        )
 
     def stratified_split(
         self, train_fraction: float = 0.7, seed: int = 0
@@ -125,75 +129,68 @@ class TrafficDataset:
         if not 0.0 < train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
         rng = random.Random(seed)
-        train: list[PacketRecord] = []
-        test: list[PacketRecord] = []
+        train: list[int] = []
+        test: list[int] = []
         for label in (0, 1):
-            group = [r for r in self.records if r.label == label]
+            group = np.flatnonzero(self._batch.label == label).tolist()
             rng.shuffle(group)
             cut = int(len(group) * train_fraction)
             train.extend(group[:cut])
             test.extend(group[cut:])
-        train.sort(key=lambda r: r.timestamp)
-        test.sort(key=lambda r: r.timestamp)
-        return TrafficDataset(train), TrafficDataset(test)
+        return self._subset(train), self._subset(test)
+
+    def _subset(self, rows: list[int]) -> "TrafficDataset":
+        """The given rows, back in time order (ties keep list order)."""
+        rows_array = np.array(rows, dtype=np.int64)
+        order = np.argsort(self._batch.timestamp[rows_array], kind="stable")
+        return TrafficDataset(self._batch.take(rows_array[order]))
 
     def filter(self, predicate) -> "TrafficDataset":
         """A new dataset with only records where ``predicate(record)``."""
-        return TrafficDataset([r for r in self.records if predicate(r)])
+        keep = [bool(predicate(record)) for record in self.records]
+        return TrafficDataset(self._batch.take(np.array(keep, dtype=bool)))
 
     def time_slice(self, start: float, end: float) -> "TrafficDataset":
         """Records with ``start <= timestamp < end``."""
-        return TrafficDataset(
-            [r for r in self.records if start <= r.timestamp < end]
-        )
+        timestamp = self._batch.timestamp
+        return TrafficDataset(self._batch.take((timestamp >= start) & (timestamp < end)))
 
     # ------------------------------------------------------------------
     # Persistence
 
     def to_csv(self, path: str | Path) -> None:
         """Write the capture as CSV (one row per packet)."""
+        columns = [column.tolist() for column in self._batch.columns]
+        # ``repr`` round-trips the float bit-exactly; no attack is "".
+        columns[0] = map(repr, columns[0])
+        columns[-1] = (attack or "" for attack in columns[-1])
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS)
-            writer.writeheader()
-            for r in self.records:
-                writer.writerow(
-                    {
-                        "timestamp": repr(r.timestamp),
-                        "src_ip": r.src_ip,
-                        "dst_ip": r.dst_ip,
-                        "protocol": r.protocol,
-                        "src_port": r.src_port,
-                        "dst_port": r.dst_port,
-                        "size": r.size,
-                        "tcp_flags": r.tcp_flags,
-                        "seq": r.seq,
-                        "label": r.label,
-                        "attack": r.attack or "",
-                    }
-                )
+            writer = csv.writer(fh)
+            writer.writerow(FIELDS)
+            writer.writerows(zip(*columns))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TrafficDataset":
         """Read a capture previously written by :meth:`to_csv`."""
-        records = []
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                records.append(
-                    PacketRecord(
-                        timestamp=float(row["timestamp"]),
-                        src_ip=int(row["src_ip"]),
-                        dst_ip=int(row["dst_ip"]),
-                        protocol=int(row["protocol"]),
-                        src_port=int(row["src_port"]),
-                        dst_port=int(row["dst_port"]),
-                        size=int(row["size"]),
-                        tcp_flags=int(row["tcp_flags"]),
-                        seq=int(row["seq"]),
-                        label=int(row["label"]),
-                        attack=row["attack"] or None,
-                    )
-                )
-        return cls(records)
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: no CSV header (expected {', '.join(FIELDS)})")
+            missing = [name for name in FIELDS if name not in header]
+            if missing:
+                raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+            rows = list(reader)
+        columns = dict(zip(header, zip(*rows, strict=True))) if rows else dict.fromkeys(header, ())
+        return cls(
+            RecordBatch.from_columns(
+                [
+                    list(map(float, columns["timestamp"])),
+                    *(list(map(int, columns[name])) for name in FIELDS[1:-1]),
+                    [attack or None for attack in columns["attack"]],
+                ]
+            )
+        )
 
     def save(self, path: str | Path) -> Path:
         """Persist the capture as a pipeline artifact (lossless CSV).
@@ -215,8 +212,6 @@ class TrafficDataset:
     @classmethod
     def merge(cls, datasets: Iterable["TrafficDataset"]) -> "TrafficDataset":
         """Concatenate captures and re-sort chronologically."""
-        records: list[PacketRecord] = []
-        for dataset in datasets:
-            records.extend(dataset.records)
-        records.sort(key=lambda r: r.timestamp)
-        return cls(records)
+        batches = [dataset.to_batch() for dataset in datasets] or [RecordBatch.empty()]
+        per_field = zip(*(batch.columns for batch in batches))
+        return cls(RecordBatch.from_columns(map(np.concatenate, per_field)))

@@ -3,9 +3,10 @@
 Generates a capture that exercises every code path of the §IV-A feature
 statistics — TCP handshakes with and without completion, RST teardowns,
 UDP floods spraying random ports, repeated connection attempts — at an
-arbitrary packet count, without building a testbed.  The benchmark
-harness uses it to time the feature pipeline on 100k+ packets; tests use
-small instances as randomized fixtures.
+arbitrary packet count, without building a testbed.  The capture is
+built as columns directly.  The benchmark harness uses it to time the
+feature pipeline on 100k+ packets; tests use small instances as
+randomized fixtures.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.capture.dataset import TrafficDataset
+from repro.features.columnar import RecordBatch
 from repro.sim.packet import PROTO_TCP, PROTO_UDP, TcpFlags
-from repro.sim.tracing import PacketRecord
 
 _SYN = int(TcpFlags.SYN)
 _ACK = int(TcpFlags.ACK)
@@ -63,20 +64,11 @@ def synthetic_capture(
     size = np.where(malicious, rng.integers(40, 80, n_packets), rng.integers(60, 1500, n_packets))
     seq = np.where(protocol == PROTO_TCP, rng.integers(0, 2**32, n_packets), 0)
 
-    records = [
-        PacketRecord(
-            timestamp=float(timestamps[i]),
-            src_ip=int(src_ip[i]),
-            dst_ip=int(dst_ip[i]),
-            protocol=int(protocol[i]),
-            src_port=int(src_port[i]),
-            dst_port=int(dst_port[i]),
-            size=int(size[i]),
-            tcp_flags=int(flags[i]),
-            seq=int(seq[i]),
-            label=int(malicious[i]),
-            attack=("syn_flood" if syn_flood[i] else "udp_flood") if malicious[i] else None,
+    attack = np.where(syn_flood, "syn_flood", "udp_flood").astype(object)
+    attack[~malicious] = None
+    return TrafficDataset(
+        RecordBatch.from_columns(
+            (timestamps, src_ip, dst_ip, protocol, src_port, dst_port,
+             size, flags, seq, malicious, attack)
         )
-        for i in range(n_packets)
-    ]
-    return TrafficDataset(records)
+    )

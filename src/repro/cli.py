@@ -22,8 +22,9 @@ Four commands cover the testbed's day-to-day uses:
   (and optionally pcap);
 * ``ddoshield inventory`` — build the Figure 1 topology, run the Mirai
   lifecycle, and print the live component inventory;
-* ``ddoshield bench-features`` — time the vectorized feature pipeline
-  against the legacy per-record path and write ``BENCH_features.json``;
+* ``ddoshield bench-features`` — time the columnar feature pipeline
+  (offline transform and per-window latency) and write
+  ``BENCH_features.json``;
 * ``ddoshield bench-sim`` — time the batched event kernel against
   scalar per-packet dispatch across node counts, check scalar/batch
   equivalence, and write ``BENCH_sim.json``;

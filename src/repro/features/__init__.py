@@ -2,36 +2,30 @@
 
 Per-packet *basic* features (:mod:`repro.features.basic`) are aggregated
 with per-window *statistical* features (:mod:`repro.features.statistical`)
-computed over user-configurable time windows
-(:mod:`repro.features.window`) — packet counts, destination-port entropy,
-port-frequency concentration, short-lived connections, repeated
-connection attempts, SYN-without-ACK counts, flow rates, and
-sequence-number variance.  :class:`~repro.features.pipeline.FeatureExtractor`
-combines them into the model-ready matrix where, exactly as in the paper,
-the statistical features are identical for every packet inside a window.
+computed over user-configurable time windows — packet counts,
+destination-port entropy, port-frequency concentration, short-lived
+connections, repeated connection attempts, SYN-without-ACK counts, flow
+rates, and sequence-number variance.
+:class:`~repro.features.pipeline.FeatureExtractor` combines them into the
+model-ready matrix where, exactly as in the paper, the statistical
+features are identical for every packet inside a window.
 
-The hot path is columnar (:mod:`repro.features.columnar`): captures are
-held as a :class:`~repro.features.columnar.RecordBatch` struct-of-arrays
-and every statistic is computed with NumPy array operations; the
-per-record helpers remain as the validated reference semantics.
+Everything reads one representation: a capture or window held as a
+columnar :class:`~repro.features.columnar.RecordBatch`, with every
+statistic computed by NumPy array operations.  The streaming IDS
+assembles its windows record by record with
+:class:`~repro.features.window.WindowAggregator`.
 """
 
-from repro.features.basic import BASIC_FEATURE_NAMES, basic_features
-from repro.features.columnar import (
-    RecordBatch,
-    as_batch,
-    basic_features_batch,
-    compute_batch_statistics,
-)
+from repro.features.basic import BASIC_FEATURE_NAMES, basic_features_batch
+from repro.features.columnar import RecordBatch
 from repro.features.pipeline import FeatureExtractor
 from repro.features.statistical import (
     STATISTICAL_FEATURE_NAMES,
     WindowStatistics,
     compute_window_statistics,
-    compute_window_statistics_legacy,
-    shannon_entropy,
 )
-from repro.features.window import WindowAggregator, iter_windows
+from repro.features.window import WindowAggregator
 
 __all__ = [
     "BASIC_FEATURE_NAMES",
@@ -40,12 +34,6 @@ __all__ = [
     "STATISTICAL_FEATURE_NAMES",
     "WindowAggregator",
     "WindowStatistics",
-    "as_batch",
-    "basic_features",
     "basic_features_batch",
-    "compute_batch_statistics",
     "compute_window_statistics",
-    "compute_window_statistics_legacy",
-    "iter_windows",
-    "shannon_entropy",
 ]

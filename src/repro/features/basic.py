@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sim.tracing import PacketRecord
+from repro.features.columnar import RecordBatch
 
 #: The paper's per-packet attributes (minus IPs, which are flag-gated).
 CORE_FEATURE_NAMES: tuple[str, ...] = (
@@ -50,44 +50,44 @@ IP_FEATURE_NAMES: tuple[str, ...] = ("src_ip", "dst_ip")
 #: Backwards-friendly alias: the default column set.
 BASIC_FEATURE_NAMES: tuple[str, ...] = CORE_FEATURE_NAMES
 
-_RST_FLAG = 0x04
-
-
-def basic_features(
-    record: PacketRecord,
-    include_ips: bool = False,
-    include_timestamp: bool = True,
-    include_details: bool = False,
-) -> np.ndarray:
-    """The basic feature vector for one packet."""
-    core: tuple[float, ...] = (
-        float(record.protocol),
-        float(record.src_port),
-        float(record.dst_port),
-    )
-    if include_timestamp:
-        core = (record.timestamp,) + core
-    if include_details:
-        core = core + (
-            float(record.size),
-            1.0 if record.is_syn else 0.0,
-            1.0 if record.is_ack else 0.0,
-            1.0 if record.is_fin else 0.0,
-            1.0 if record.tcp_flags & _RST_FLAG else 0.0,
-            record.seq / 2**32,
-        )
-    if include_ips:
-        return np.array((float(record.src_ip), float(record.dst_ip)) + core)
-    return np.array(core)
-
 
 def basic_feature_names(
     include_ips: bool = False,
     include_timestamp: bool = True,
     include_details: bool = False,
 ) -> tuple[str, ...]:
-    """Column names matching :func:`basic_features`."""
+    """Column names matching :func:`basic_features_batch`."""
     names = CORE_FEATURE_NAMES if include_timestamp else CORE_FEATURE_NAMES[1:]
     if include_details:
         names = names + DETAIL_FEATURE_NAMES
     return (IP_FEATURE_NAMES + names) if include_ips else names
+
+
+def basic_features_batch(
+    batch: RecordBatch,
+    include_ips: bool = False,
+    include_timestamp: bool = True,
+    include_details: bool = False,
+) -> np.ndarray:
+    """The basic feature matrix for every row of a batch at once.
+
+    Column order matches :func:`basic_feature_names`.
+    """
+    columns: list[np.ndarray] = []
+    if include_ips:
+        columns += [batch.src_ip, batch.dst_ip]
+    if include_timestamp:
+        columns.append(batch.timestamp)
+    columns += [batch.protocol, batch.src_port, batch.dst_port]
+    if include_details:
+        columns += [
+            batch.size,
+            batch.is_syn,
+            batch.is_ack,
+            batch.is_fin,
+            batch.is_rst,
+            batch.seq / 2**32,
+        ]
+    if len(batch) == 0:
+        return np.empty((0, len(columns)))
+    return np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])

@@ -1,12 +1,13 @@
-"""Feature-pipeline benchmark: legacy per-record vs vectorized columnar.
+"""Feature-pipeline benchmark: throughput of the columnar extractor.
 
 Times the two costs that dominate every experiment — offline
 ``FeatureExtractor.transform`` over a whole capture (training-set
 generation) and per-window ``transform_window`` latency (the real-time
-IDS hot path) — on a synthetic capture, and reports the speedup of the
-columnar path over the preserved per-record implementation.  Results are
-written as JSON (``BENCH_features.json``) so the perf trajectory of the
-pipeline is recorded run over run.
+IDS hot path) — on a synthetic capture.  Results are written as JSON
+(``BENCH_features.json``) so the perf trajectory of the pipeline is
+recorded run over run.  No speedup ratio is reported: the per-record
+implementation survives only as the test suite's oracle, and a ratio
+against a path kept for comparison is not a result.
 
 Run via ``python benchmarks/bench_features.py`` or
 ``ddoshield bench-features``.
@@ -23,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.capture.synthetic import synthetic_capture
-from repro.features.columnar import RecordBatch
 from repro.features.pipeline import FeatureExtractor
 
 
@@ -50,39 +50,22 @@ def run_feature_benchmark(
     extractor = FeatureExtractor(
         window_seconds=window_seconds, include_details=True, stat_set=stat_set
     )
-    records = capture.records
     batch = capture.to_batch()
 
     # Offline path: whole-capture transform (training-set generation).
-    legacy_transform = _best_of(lambda: extractor.transform_legacy(records), repeats)
-    vector_transform = _best_of(lambda: extractor.transform(batch), repeats)
-
-    # Sanity: both paths must produce the same matrix before we compare
-    # their timings — a fast wrong answer is not a speedup.
-    X_legacy, y_legacy, w_legacy = extractor.transform_legacy(records)
-    X_vector, y_vector, w_vector = extractor.transform(batch)
-    np.testing.assert_allclose(X_vector, X_legacy, atol=1e-9, rtol=0)
-    np.testing.assert_array_equal(y_vector, y_legacy)
-    np.testing.assert_array_equal(w_vector, w_legacy)
+    transform_seconds = _best_of(lambda: extractor.transform(batch), repeats)
 
     # Real-time path: per-window latency over every window of the capture.
-    windows = list(batch.window_slices(window_seconds))
-    record_windows = [w.to_records() for _, w in windows]
+    windows = [window for _, window in batch.window_slices(window_seconds)]
 
-    def run_vector() -> None:
-        for _, window in windows:
+    def run_windows() -> None:
+        for window in windows:
             extractor.transform_window(window)
 
-    def run_legacy() -> None:
-        for bucket in record_windows:
-            extractor.transform_window_legacy(bucket)
+    window_total = _best_of(run_windows, repeats)
 
-    legacy_window_total = _best_of(run_legacy, repeats)
-    vector_window_total = _best_of(run_vector, repeats)
-    n_windows = max(1, len(windows))
-
-    build_seconds = _best_of(lambda: RecordBatch.from_records(records), 1)
-
+    # Field names are kept from the history's first entries, so
+    # ``ddoshield bench-compare`` keeps comparing like with like.
     return {
         "n_packets": n_packets,
         "n_windows": len(windows),
@@ -91,17 +74,12 @@ def run_feature_benchmark(
         "n_features": extractor.n_features,
         "seed": seed,
         "repeats": repeats,
-        "batch_build_seconds": build_seconds,
         "offline_transform": {
-            "legacy_seconds": legacy_transform,
-            "vectorized_seconds": vector_transform,
-            "speedup": legacy_transform / vector_transform,
-            "vectorized_packets_per_second": n_packets / vector_transform,
+            "vectorized_seconds": transform_seconds,
+            "vectorized_packets_per_second": n_packets / transform_seconds,
         },
         "per_window_latency": {
-            "legacy_mean_ms": 1000.0 * legacy_window_total / n_windows,
-            "vectorized_mean_ms": 1000.0 * vector_window_total / n_windows,
-            "speedup": legacy_window_total / vector_window_total,
+            "vectorized_mean_ms": 1000.0 * window_total / max(1, len(windows)),
         },
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -138,13 +116,8 @@ def format_benchmark(result: dict) -> str:
         [
             f"feature pipeline benchmark — {result['n_packets']} packets, "
             f"{result['n_windows']} windows, {result['n_features']} features",
-            f"  offline transform: legacy {offline['legacy_seconds']:.3f}s "
-            f"→ vectorized {offline['vectorized_seconds']:.3f}s "
-            f"({offline['speedup']:.1f}×, "
-            f"{offline['vectorized_packets_per_second']:.0f} pkt/s)",
-            f"  per-window latency: legacy {window['legacy_mean_ms']:.3f}ms "
-            f"→ vectorized {window['vectorized_mean_ms']:.3f}ms "
-            f"({window['speedup']:.1f}×)",
-            f"  batch build: {result['batch_build_seconds']:.3f}s",
+            f"  offline transform: {offline['vectorized_seconds']:.3f}s "
+            f"({offline['vectorized_packets_per_second']:.0f} pkt/s)",
+            f"  per-window latency: {window['vectorized_mean_ms']:.3f}ms",
         ]
     )

@@ -1,27 +1,24 @@
-"""Columnar packet storage: the vectorized feature-pipeline hot path.
+"""Columnar packet storage: the one stored form of a capture.
 
-The feature extractor is the dominant cost of both training-set
-generation and the real-time IDS.  :class:`RecordBatch` stores a capture
-(or one window of it) as a struct-of-arrays — one NumPy column per
-:class:`~repro.sim.tracing.PacketRecord` field — so every per-window
-statistic of the paper's §IV-A reduces to array operations:
+:class:`RecordBatch` holds a capture (or one window of it) as a
+struct-of-arrays — one NumPy column per
+:class:`~repro.sim.tracing.PacketRecord` field.  It is the form a
+capture takes from the probe to the models: the probe hands its capture
+over as columns, a :class:`~repro.capture.dataset.TrafficDataset` holds
+one batch, and the feature pipeline computes every §IV-A statistic from
+it with array operations.  Rows are always timestamp-sorted, so window
+slicing is a pair of ``np.searchsorted`` lookups returning zero-copy
+views.
 
-* entropies and port concentration via ``np.unique`` counts;
-* SYN-without-ACK, repeated-attempt, and short-lived-connection sets via
-  dense integer group ids (``np.unique(return_inverse=True)`` over the
-  endpoint-tuple columns) and ``np.isin``/``np.intersect1d``;
-* window slicing via ``np.searchsorted`` over the (sorted) timestamp
-  column, returning zero-copy views.
-
-The scalar helpers in :mod:`repro.features.basic` and
-:mod:`repro.features.statistical` remain the reference semantics; the
-test suite asserts the two paths agree to 1e-9 on randomized windows.
+Per-record rows remain the element of the streaming IDS (probe sink →
+monitor → window aggregator), which builds one batch per window with
+:meth:`RecordBatch.from_records`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,26 +30,18 @@ _ACK = int(TcpFlags.ACK)
 _FIN = int(TcpFlags.FIN)
 _RST = int(TcpFlags.RST)
 
-#: Numeric columns of a batch, in :class:`PacketRecord` field order.
-COLUMN_NAMES: tuple[str, ...] = (
-    "timestamp",
-    "src_ip",
-    "dst_ip",
-    "protocol",
-    "src_port",
-    "dst_port",
-    "size",
-    "tcp_flags",
-    "seq",
-    "label",
-)
+#: Every column of a batch, in :class:`PacketRecord` field order.
+FIELDS: tuple[str, ...] = PacketRecord._fields
+
+#: Column dtypes, in :data:`FIELDS` order (``attack`` holds str or None).
+_DTYPES = (np.float64,) + (np.int64,) * 9 + (object,)
 
 
 @dataclass
 class RecordBatch:
     """A struct-of-arrays view of an ordered packet capture.
 
-    Rows are always sorted by timestamp (``from_records`` stable-sorts
+    Rows are always sorted by timestamp (:meth:`from_columns` stable-sorts
     out-of-order input), which is what makes window slicing a pair of
     ``searchsorted`` lookups instead of a scan.  ``slice`` returns
     zero-copy views of the underlying columns.
@@ -71,67 +60,55 @@ class RecordBatch:
     attack: np.ndarray  # object dtype; None for benign rows
 
     @classmethod
-    def from_records(cls, records: Sequence[PacketRecord]) -> "RecordBatch":
-        """Build the columnar store (one pass; stable-sorts if needed)."""
-        n = len(records)
-        timestamp = np.fromiter((r.timestamp for r in records), dtype=np.float64, count=n)
-        batch = cls(
-            timestamp=timestamp,
-            src_ip=np.fromiter((r.src_ip for r in records), dtype=np.int64, count=n),
-            dst_ip=np.fromiter((r.dst_ip for r in records), dtype=np.int64, count=n),
-            protocol=np.fromiter((r.protocol for r in records), dtype=np.int64, count=n),
-            src_port=np.fromiter((r.src_port for r in records), dtype=np.int64, count=n),
-            dst_port=np.fromiter((r.dst_port for r in records), dtype=np.int64, count=n),
-            size=np.fromiter((r.size for r in records), dtype=np.int64, count=n),
-            tcp_flags=np.fromiter((r.tcp_flags for r in records), dtype=np.int64, count=n),
-            seq=np.fromiter((r.seq for r in records), dtype=np.int64, count=n),
-            label=np.fromiter((r.label for r in records), dtype=np.int64, count=n),
-            attack=np.array([r.attack for r in records], dtype=object),
-        )
-        if n > 1 and np.any(np.diff(timestamp) < 0):
-            order = np.argsort(timestamp, kind="stable")
-            batch = batch.take(order)
+    def from_columns(cls, columns: Iterable[Sequence]) -> "RecordBatch":
+        """Build a batch from one sequence per field, in :data:`FIELDS` order.
+
+        The one constructor: timestamps become float64, the other numeric
+        fields int64 and ``attack`` an object column; rows are
+        stable-sorted by timestamp only when the input is out of order.
+        Columns are converted one at a time, as ``columns`` yields them.
+        """
+        arrays = [
+            np.asarray(values, dtype=dtype)
+            for values, dtype in zip(columns, _DTYPES, strict=True)
+        ]
+        if any(len(column) != len(arrays[0]) for column in arrays):
+            raise ValueError("columns differ in length")
+        batch = cls(*arrays)
+        n = len(batch)
+        if n > 1 and np.any(np.diff(batch.timestamp) < 0):
+            batch = batch.take(np.argsort(batch.timestamp, kind="stable"))
         return batch
 
     @classmethod
+    def from_records(cls, records: Iterable[PacketRecord]) -> "RecordBatch":
+        """Build the columnar store from rows (transposed once)."""
+        columns = list(zip(*records))
+        return cls.from_columns(columns) if columns else cls.empty()
+
+    @classmethod
     def empty(cls) -> "RecordBatch":
-        return cls.from_records([])
+        return cls.from_columns([()] * len(FIELDS))
 
     def __len__(self) -> int:
         return len(self.timestamp)
 
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The columns in :data:`FIELDS` order."""
+        return tuple(getattr(self, name) for name in FIELDS)
+
     def take(self, order: np.ndarray) -> "RecordBatch":
         """A new batch with rows reordered/selected by ``order``."""
-        return RecordBatch(
-            **{name: getattr(self, name)[order] for name in COLUMN_NAMES},
-            attack=self.attack[order],
-        )
+        return RecordBatch(*(column[order] for column in self.columns))
 
     def slice(self, start: int, stop: int) -> "RecordBatch":
         """Zero-copy row range ``[start, stop)`` (columns are views)."""
-        return RecordBatch(
-            **{name: getattr(self, name)[start:stop] for name in COLUMN_NAMES},
-            attack=self.attack[start:stop],
-        )
+        return RecordBatch(*(column[start:stop] for column in self.columns))
 
     def to_records(self) -> list[PacketRecord]:
-        """Materialise back into per-record rows (compatibility path)."""
-        return [
-            PacketRecord(
-                timestamp=float(self.timestamp[i]),
-                src_ip=int(self.src_ip[i]),
-                dst_ip=int(self.dst_ip[i]),
-                protocol=int(self.protocol[i]),
-                src_port=int(self.src_port[i]),
-                dst_port=int(self.dst_port[i]),
-                size=int(self.size[i]),
-                tcp_flags=int(self.tcp_flags[i]),
-                seq=int(self.seq[i]),
-                label=int(self.label[i]),
-                attack=self.attack[i],
-            )
-            for i in range(len(self))
-        ]
+        """Per-record rows, built in one zip over the ``tolist()`` columns."""
+        return list(map(PacketRecord._make, zip(*(c.tolist() for c in self.columns))))
 
     # ------------------------------------------------------------------
     # Derived boolean columns (same semantics as PacketRecord properties)
@@ -186,145 +163,3 @@ class RecordBatch:
         ends = np.append(bounds[1:], len(indices))
         for window, start, stop in zip(windows, bounds, ends):
             yield int(window), self.slice(int(start), int(stop))
-
-
-def as_batch(records: "RecordBatch | Sequence[PacketRecord]") -> RecordBatch:
-    """Coerce either representation to a :class:`RecordBatch`."""
-    if isinstance(records, RecordBatch):
-        return records
-    return RecordBatch.from_records(records)
-
-
-# ----------------------------------------------------------------------
-# Vectorized statistics
-
-
-def _entropy(counts: np.ndarray) -> float:
-    """Shannon entropy (bits) of a count vector."""
-    total = counts.sum()
-    if total <= 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
-
-
-def _group_ids(*columns: np.ndarray) -> np.ndarray:
-    """Dense integer ids for the row tuples of the given columns.
-
-    Equal tuples map to equal ids, so set algebra over endpoint tuples
-    (membership, intersection, multiplicity) becomes integer-array work.
-    Each accumulation step re-densifies, keeping values < n and far from
-    int64 overflow regardless of column magnitudes.
-    """
-    ids = np.zeros(len(columns[0]), dtype=np.int64)
-    for column in columns:
-        _, inverse = np.unique(column, return_inverse=True)
-        ids = ids * (int(inverse.max()) + 1 if len(inverse) else 1) + inverse
-        _, ids = np.unique(ids, return_inverse=True)
-    return ids
-
-
-def compute_batch_statistics(batch: RecordBatch, window_seconds: float = 1.0):
-    """Vectorized §IV-A statistics over one window held as a batch.
-
-    Returns a :class:`~repro.features.statistical.WindowStatistics` that
-    matches the per-record reference implementation to 1e-9.
-    """
-    from repro.features.statistical import WindowStatistics
-
-    n = len(batch)
-    if n == 0:
-        return WindowStatistics.zeros()
-
-    sizes = batch.size.astype(np.float64)
-    _, dport_counts = np.unique(batch.dst_port, return_counts=True)
-    _, sport_counts = np.unique(batch.src_port, return_counts=True)
-
-    syn_mask = batch.is_syn
-    ack_mask = batch.is_ack
-    rst_mask = batch.is_rst
-    syn_count = int(syn_mask.sum())
-
-    # (src, dst, dport) triple ids shared by the SYN and ACK sides, so a
-    # half-open handshake is a SYN id absent from the ACK id set.
-    triple = _group_ids(batch.src_ip, batch.dst_ip, batch.dst_port)
-    syn_triples = triple[syn_mask]
-    ack_triples = triple[ack_mask & ~syn_mask]
-    if syn_count:
-        syn_without_ack = int(np.isin(syn_triples, ack_triples, invert=True).sum())
-        _, attempt_counts = np.unique(syn_triples, return_counts=True)
-        repeated = int((attempt_counts > 1).sum())
-    else:
-        syn_without_ack = 0
-        repeated = 0
-
-    # Short-lived connections: 4-tuples that both open and terminate
-    # inside the window.
-    quad = _group_ids(batch.src_ip, batch.src_port, batch.dst_ip, batch.dst_port)
-    short_lived = len(np.intersect1d(quad[syn_mask], quad[batch.is_fin | rst_mask]))
-
-    flow = _group_ids(
-        batch.src_ip, batch.src_port, batch.dst_ip, batch.dst_port, batch.protocol
-    )
-    n_flows = int(flow.max()) + 1 if n else 0
-
-    tcp_seqs = batch.seq[batch.is_tcp].astype(np.float64)
-    seq_std = float(np.std(tcp_seqs / 2**32)) if tcp_seqs.size else 0.0
-
-    rst_count = int(rst_mask.sum())
-    return WindowStatistics(
-        pkt_count=float(n),
-        byte_count=float(sizes.sum()),
-        mean_size=float(sizes.mean()),
-        std_size=float(sizes.std()),
-        dport_entropy=_entropy(dport_counts),
-        sport_entropy=_entropy(sport_counts),
-        unique_src=float(len(np.unique(batch.src_ip))),
-        unique_dst_ports=float(len(dport_counts)),
-        top_dport_fraction=int(dport_counts.max()) / n,
-        syn_count=float(syn_count),
-        syn_ratio=syn_count / n,
-        syn_without_ack=float(syn_without_ack),
-        syn_without_ack_ratio=syn_without_ack / n,
-        short_lived_conns=float(short_lived),
-        short_lived_ratio=short_lived / n,
-        repeated_conn_attempts=float(repeated),
-        repeated_conn_ratio=repeated / n,
-        rst_count=float(rst_count),
-        rst_ratio=rst_count / n,
-        ack_ratio=int(ack_mask.sum()) / n,
-        flow_rate=n_flows / window_seconds,
-        udp_fraction=int(batch.is_udp.sum()) / n,
-        seq_std=seq_std,
-    )
-
-
-def basic_features_batch(
-    batch: RecordBatch,
-    include_ips: bool = False,
-    include_timestamp: bool = True,
-    include_details: bool = False,
-) -> np.ndarray:
-    """The basic feature matrix for every row of a batch at once.
-
-    Column order matches :func:`repro.features.basic.basic_features` /
-    :func:`repro.features.basic.basic_feature_names`.
-    """
-    columns: list[np.ndarray] = []
-    if include_ips:
-        columns += [batch.src_ip, batch.dst_ip]
-    if include_timestamp:
-        columns.append(batch.timestamp)
-    columns += [batch.protocol, batch.src_port, batch.dst_port]
-    if include_details:
-        columns += [
-            batch.size,
-            batch.is_syn,
-            batch.is_ack,
-            batch.is_fin,
-            batch.is_rst,
-            batch.seq / 2**32,
-        ]
-    if len(batch) == 0:
-        return np.empty((0, len(columns)))
-    return np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])

@@ -21,21 +21,18 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.features.basic import basic_feature_names, basic_features
-from repro.features.columnar import RecordBatch, as_batch, basic_features_batch
+from repro.features.basic import basic_feature_names, basic_features_batch
+from repro.features.columnar import RecordBatch
 from repro.features.statistical import (
     NORMALIZED_STATISTICAL_FEATURE_NAMES,
     PAPER_STATISTICAL_FEATURE_NAMES,
     STATISTICAL_FEATURE_NAMES,
     compute_window_statistics,
-    compute_window_statistics_legacy,
 )
-from repro.features.window import iter_windows
-from repro.sim.tracing import PacketRecord
 
 
 class FeatureExtractor:
-    """Turns packet records into per-packet feature vectors.
+    """Turns a :class:`RecordBatch` capture into per-packet feature vectors.
 
     Parameters
     ----------
@@ -126,15 +123,8 @@ class FeatureExtractor:
     def n_features(self) -> int:
         return len(self.feature_names)
 
-    def transform_window(
-        self, records: RecordBatch | Sequence[PacketRecord]
-    ) -> np.ndarray:
-        """Features for the packets of one window (real-time path).
-
-        Accepts a :class:`~repro.features.columnar.RecordBatch` (fast
-        path) or a sequence of records (coerced to one).
-        """
-        batch = as_batch(records)
+    def transform_window(self, batch: RecordBatch) -> np.ndarray:
+        """Features for the packets of one window (real-time path)."""
         if len(batch) == 0:
             return np.empty((0, self.n_features))
         basic = basic_features_batch(
@@ -148,18 +138,17 @@ class FeatureExtractor:
         return np.hstack([basic, tiled])
 
     def transform(
-        self, records: RecordBatch | Sequence[PacketRecord]
+        self, batch: RecordBatch
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Features for a whole capture (offline/training path).
 
         Returns ``(X, y, window_ids)`` where ``y`` holds ground-truth
         labels and ``window_ids`` the window index of each packet.
 
-        The capture is held as one columnar batch: the basic block is
-        computed in a single vectorized pass over every packet, then
-        each window (a zero-copy slice) contributes its statistics row.
+        The basic block is computed in a single vectorized pass over
+        every packet, then each window (a zero-copy slice) contributes
+        its statistics row.
         """
-        batch = as_batch(records)
         n = len(batch)
         if n == 0:
             return (
@@ -186,49 +175,3 @@ class FeatureExtractor:
                 ).to_array()
                 X[start:stop, n_basic:] = stats[self._stat_columns]
         return X, y, window_ids.astype(int)
-
-    # ------------------------------------------------------------------
-    # Legacy per-record path (reference semantics; kept for the
-    # equivalence tests and the benchmark's before/after comparison).
-
-    def transform_window_legacy(self, records: Sequence[PacketRecord]) -> np.ndarray:
-        """Original per-record implementation of :meth:`transform_window`."""
-        if not records:
-            return np.empty((0, self.n_features))
-        basic = np.stack(
-            [
-                basic_features(
-                    r, self.include_ips, self.include_timestamp, self.include_details
-                )
-                for r in records
-            ]
-        )
-        if not len(self.stat_names):
-            return basic
-        stats = compute_window_statistics_legacy(records, self.window_seconds).to_array()
-        selected = stats[self._stat_columns]
-        tiled = np.tile(selected, (len(records), 1))
-        return np.hstack([basic, tiled])
-
-    def transform_legacy(
-        self, records: Sequence[PacketRecord]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Original per-record implementation of :meth:`transform`."""
-        blocks: list[np.ndarray] = []
-        labels: list[int] = []
-        window_ids: list[int] = []
-        for index, bucket in iter_windows(records, self.window_seconds):
-            blocks.append(self.transform_window_legacy(bucket))
-            labels.extend(r.label for r in bucket)
-            window_ids.extend([index] * len(bucket))
-        if not blocks:
-            return (
-                np.empty((0, self.n_features)),
-                np.empty(0, dtype=int),
-                np.empty(0, dtype=int),
-            )
-        return (
-            np.vstack(blocks),
-            np.array(labels, dtype=int),
-            np.array(window_ids, dtype=int),
-        )

@@ -21,19 +21,23 @@ values the paper lists (and what threshold-splitting models train on).
 All statistics are computed from one window's packets only, exactly as a
 streaming IDS sees them, and are attached unchanged to every packet in
 the window — the paper's design choice that causes the accuracy dips at
-attack boundaries.
+attack boundaries.  The window arrives as a
+:class:`~repro.features.columnar.RecordBatch`, so every statistic is
+array work:
+
+* entropies and port concentration via ``np.unique`` counts;
+* SYN-without-ACK, repeated-attempt, and short-lived-connection sets via
+  dense integer group ids (``np.unique(return_inverse=True)`` over the
+  endpoint-tuple columns) and ``np.isin``/``np.intersect1d``.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from repro.sim.tracing import PacketRecord
+from repro.features.columnar import RecordBatch
 
 #: The raw-count statistics of §IV-A (the paper's literal list).
 PAPER_STATISTICAL_FEATURE_NAMES: tuple[str, ...] = (
@@ -90,21 +94,6 @@ STATISTICAL_FEATURE_NAMES: tuple[str, ...] = (
     "seq_std",
 )
 
-_RST_FLAG = 0x04
-
-
-def shannon_entropy(counts: Sequence[int]) -> float:
-    """Shannon entropy (bits) of a count distribution; 0 for empty input."""
-    total = sum(counts)
-    if total <= 0:
-        return 0.0
-    entropy = 0.0
-    for count in counts:
-        if count > 0:
-            p = count / total
-            entropy -= p * math.log2(p)
-    return entropy
-
 
 @dataclass(frozen=True)
 class WindowStatistics:
@@ -142,84 +131,89 @@ class WindowStatistics:
         return cls(*([0.0] * len(STATISTICAL_FEATURE_NAMES)))
 
 
-def compute_window_statistics(
-    records: "Sequence[PacketRecord] | RecordBatch", window_seconds: float = 1.0
-) -> WindowStatistics:
-    """Compute all §IV-A statistics over one window's packets.
+def _entropy(counts: np.ndarray) -> float:
+    """Shannon entropy (bits) of a count vector."""
+    total = counts.sum()
+    if total <= 0:
+        return 0.0
+    p = counts[counts > 0] / total
+    return float(-(p * np.log2(p)).sum())
 
-    Accepts either a :class:`~repro.features.columnar.RecordBatch` (the
-    fast path — no conversion) or any sequence of records, which is
-    coerced to a batch first.  Both routes run the vectorized
-    implementation; :func:`compute_window_statistics_legacy` keeps the
-    original per-record walk as the reference the test suite validates
-    against.
+
+def _group_ids(*columns: np.ndarray) -> np.ndarray:
+    """Dense integer ids for the row tuples of the given columns.
+
+    Equal tuples map to equal ids, so set algebra over endpoint tuples
+    (membership, intersection, multiplicity) becomes integer-array work.
+    Each accumulation step re-densifies, keeping values < n and far from
+    int64 overflow regardless of column magnitudes.
     """
-    from repro.features.columnar import as_batch, compute_batch_statistics
+    ids = np.zeros(len(columns[0]), dtype=np.int64)
+    for column in columns:
+        _, inverse = np.unique(column, return_inverse=True)
+        ids = ids * (int(inverse.max()) + 1 if len(inverse) else 1) + inverse
+        _, ids = np.unique(ids, return_inverse=True)
+    return ids
 
-    return compute_batch_statistics(as_batch(records), window_seconds)
 
-
-def compute_window_statistics_legacy(
-    records: Sequence[PacketRecord], window_seconds: float = 1.0
+def compute_window_statistics(
+    batch: RecordBatch, window_seconds: float = 1.0
 ) -> WindowStatistics:
-    """Reference per-record implementation (validation and benchmarking)."""
-    if not records:
+    """Compute all §IV-A statistics over one window's packets."""
+    n = len(batch)
+    if n == 0:
         return WindowStatistics.zeros()
 
-    sizes = np.array([r.size for r in records], dtype=float)
-    dports = Counter(r.dst_port for r in records)
-    sports = Counter(r.src_port for r in records)
-    unique_src = len({r.src_ip for r in records})
-    udp_count = sum(1 for r in records if r.is_udp)
-    rst_count = sum(1 for r in records if r.tcp_flags & _RST_FLAG)
-    ack_count = sum(1 for r in records if r.is_ack)
+    sizes = batch.size.astype(np.float64)
+    _, dport_counts = np.unique(batch.dst_port, return_counts=True)
+    _, sport_counts = np.unique(batch.src_port, return_counts=True)
 
-    # SYN bookkeeping: a SYN "without corresponding ACK" is a connection
-    # opener from a (src, dst, dport) that never completes the handshake
-    # within the window (no later pure-ACK from the same endpoint pair).
-    syns = [r for r in records if r.is_syn]
-    ack_pairs = {
-        (r.src_ip, r.dst_ip, r.dst_port)
-        for r in records
-        if r.is_ack and not r.is_syn
-    }
-    syn_without_ack = sum(
-        1 for r in syns if (r.src_ip, r.dst_ip, r.dst_port) not in ack_pairs
+    syn_mask = batch.is_syn
+    ack_mask = batch.is_ack
+    rst_mask = batch.is_rst
+    syn_count = int(syn_mask.sum())
+
+    # A SYN "without corresponding ACK" is a connection opener from a
+    # (src, dst, dport) that never completes the handshake within the
+    # window.  The triple ids are shared by the SYN and ACK sides, so a
+    # half-open handshake is a SYN id absent from the pure-ACK id set.
+    triple = _group_ids(batch.src_ip, batch.dst_ip, batch.dst_port)
+    syn_triples = triple[syn_mask]
+    ack_triples = triple[ack_mask & ~syn_mask]
+    if syn_count:
+        syn_without_ack = int(np.isin(syn_triples, ack_triples, invert=True).sum())
+        _, attempt_counts = np.unique(syn_triples, return_counts=True)
+        repeated = int((attempt_counts > 1).sum())
+    else:
+        syn_without_ack = 0
+        repeated = 0
+
+    # Short-lived connections: 4-tuples that both open (SYN) and
+    # terminate (FIN or RST) inside the window.
+    quad = _group_ids(batch.src_ip, batch.src_port, batch.dst_ip, batch.dst_port)
+    short_lived = len(np.intersect1d(quad[syn_mask], quad[batch.is_fin | rst_mask]))
+
+    flow = _group_ids(
+        batch.src_ip, batch.src_port, batch.dst_ip, batch.dst_port, batch.protocol
     )
+    n_flows = int(flow.max()) + 1
 
-    # Connection-attempt analysis keyed by (src, dst, dport).
-    attempts: dict[tuple[int, int, int], int] = defaultdict(int)
-    for r in syns:
-        attempts[(r.src_ip, r.dst_ip, r.dst_port)] += 1
-    repeated = sum(1 for count in attempts.values() if count > 1)
-
-    # Short-lived connections: flows that both open (SYN) and terminate
-    # (FIN or RST) inside this single window.
-    fin_or_rst = {
-        (r.src_ip, r.src_port, r.dst_ip, r.dst_port)
-        for r in records
-        if r.is_fin or (r.tcp_flags & _RST_FLAG)
-    }
-    opened = {(r.src_ip, r.src_port, r.dst_ip, r.dst_port) for r in syns}
-    short_lived = len(opened & fin_or_rst)
-
-    flows = {r.flow_key for r in records}
-    tcp_seqs = np.array([r.seq for r in records if r.is_tcp], dtype=float)
+    tcp_seqs = batch.seq[batch.is_tcp].astype(np.float64)
     seq_std = float(np.std(tcp_seqs / 2**32)) if tcp_seqs.size else 0.0
 
-    n = len(records)
+    rst_count = int(rst_mask.sum())
     return WindowStatistics(
         pkt_count=float(n),
         byte_count=float(sizes.sum()),
         mean_size=float(sizes.mean()),
         std_size=float(sizes.std()),
-        dport_entropy=shannon_entropy(list(dports.values())),
-        sport_entropy=shannon_entropy(list(sports.values())),
-        unique_src=float(unique_src),
-        unique_dst_ports=float(len(dports)),
-        top_dport_fraction=max(dports.values()) / n,
-        syn_count=float(len(syns)),
-        syn_ratio=len(syns) / n,
+        dport_entropy=_entropy(dport_counts),
+        sport_entropy=_entropy(sport_counts),
+        unique_src=float(len(np.unique(batch.src_ip))),
+        unique_dst_ports=float(len(dport_counts)),
+        top_dport_fraction=int(dport_counts.max()) / n,
+        syn_count=float(syn_count),
+        syn_ratio=syn_count / n,
         syn_without_ack=float(syn_without_ack),
         syn_without_ack_ratio=syn_without_ack / n,
         short_lived_conns=float(short_lived),
@@ -228,8 +222,8 @@ def compute_window_statistics_legacy(
         repeated_conn_ratio=repeated / n,
         rst_count=float(rst_count),
         rst_ratio=rst_count / n,
-        ack_ratio=ack_count / n,
-        flow_rate=len(flows) / window_seconds,
-        udp_fraction=udp_count / n,
+        ack_ratio=int(ack_mask.sum()) / n,
+        flow_rate=n_flows / window_seconds,
+        udp_fraction=int(batch.is_udp.sum()) / n,
         seq_std=seq_std,
     )

@@ -1,53 +1,21 @@
-"""Time-window assignment for streaming and offline feature extraction.
+"""Streaming time-window assignment for the real-time IDS.
 
-Both entry points tolerate out-of-order input (which PR 1's jitter
-faults produce on real taps): :func:`iter_windows` stable-sorts a
-disordered capture before grouping, and :class:`WindowAggregator`
-buffers records inside a configurable reorder horizon, emitting each
-window only once it can no longer receive stragglers.  Records arriving
-for a window that has already been emitted are dropped and counted
-rather than silently filed into the wrong window.
+Offline extraction needs no assembler: a capture is a time-sorted
+:class:`~repro.features.columnar.RecordBatch`, so each window is a
+contiguous run of its rows.  The live stream arrives record by record and may be out of order (jitter faults
+on real taps), so :class:`WindowAggregator` buffers records inside a
+configurable reorder horizon, emitting each window only once it can no
+longer receive stragglers.  Records arriving for a window that has
+already been emitted are dropped and counted rather than silently filed
+into the wrong window.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from typing import Callable, Iterator, Sequence
+from typing import Callable
 
 from repro.sim.tracing import PacketRecord
-
-
-def iter_windows(
-    records: Sequence[PacketRecord], window_seconds: float = 1.0
-) -> Iterator[tuple[int, list[PacketRecord]]]:
-    """Group records into fixed windows, sorting disordered input first.
-
-    Yields ``(window_index, records)`` for every *non-empty* window, where
-    ``window_index = floor(timestamp / window_seconds)``.  Out-of-order
-    input is stable-sorted by timestamp, so a jittered replay produces
-    exactly the window assignment of the sorted capture.
-    """
-    if window_seconds <= 0:
-        raise ValueError(f"window_seconds must be positive, got {window_seconds}")
-    ordered = list(records)
-    if any(
-        ordered[i].timestamp > ordered[i + 1].timestamp
-        for i in range(len(ordered) - 1)
-    ):
-        ordered.sort(key=lambda r: r.timestamp)
-    current_index: int | None = None
-    bucket: list[PacketRecord] = []
-    for record in ordered:
-        index = int(record.timestamp // window_seconds)
-        if current_index is None:
-            current_index = index
-        if index != current_index:
-            yield current_index, bucket
-            bucket = []
-            current_index = index
-        bucket.append(record)
-    if bucket and current_index is not None:
-        yield current_index, bucket
 
 
 class WindowAggregator:

@@ -151,6 +151,11 @@ class RealTimeIds:
             X = self.extractor.transform_window(batch)
             X = self.scaler.transform(X)
             predictions = np.asarray(self.model.predict(X), dtype=int)
+            if predictions.shape != (len(records),):
+                raise ValueError(
+                    f"predict returned shape {predictions.shape} "
+                    f"for {len(records)} packets"
+                )
         except Exception:
             # Classifier/pipeline failure mid-run: degrade the window
             # instead of taking the whole IDS down with it.

@@ -94,7 +94,7 @@ def git_sha(repo_root: str | Path | None = None) -> str:
 # History load / record
 
 
-def _legacy_sections(payload: dict) -> dict[str, dict]:
+def _pre_history_sections(payload: dict) -> dict[str, dict]:
     """Map a pre-history benchmark file onto history sections."""
     sections: dict[str, dict] = {}
     if "runs" in payload or "offline_transform" in payload:
@@ -126,7 +126,7 @@ def load_history(path: str | Path) -> dict:
     if payload.get("schema") == SCHEMA:
         entries = payload.get("entries")
         return {"schema": SCHEMA, "entries": entries if isinstance(entries, list) else []}
-    sections = _legacy_sections(payload)
+    sections = _pre_history_sections(payload)
     if not sections:
         return {"schema": SCHEMA, "entries": []}
     entry = {

@@ -466,7 +466,7 @@ class TcpSocket:
             else:
                 pending.append(item)
         if pending:
-            self._flush_pending(pending)
+            self._transmit_runs(pending)
         if (
             self._fin_queued
             and not self._unsent
@@ -502,7 +502,7 @@ class TcpSocket:
             provenance=self.provenance,
         )
 
-    def _flush_pending(self, items: list[_SendItem]) -> None:
+    def _transmit_runs(self, items: list[_SendItem]) -> None:
         """Emit collected segments as maximal flag-uniform trains.
 
         A bulk ``send()`` queues N-1 plain ACK segments and one final

@@ -2,10 +2,11 @@
 
 The IDS container in the paper sniffs the simulated network and feeds the
 capture to its feature pipeline.  Here a :class:`PacketProbe` registered
-on a channel produces :class:`PacketRecord` rows — the flat per-packet
-facts the feature extractor consumes — and can simultaneously stream the
-raw frames to a :class:`PcapWriter`, which emits genuine libpcap files
-readable by Wireshark/tcpdump (DDoSim's external-analysis workflow).
+on a channel captures the flat per-packet facts of a
+:class:`PacketRecord` — as columns, the form the feature extractor
+consumes — and can simultaneously stream the raw frames to a
+:class:`PcapWriter`, which emits genuine libpcap files readable by
+Wireshark/tcpdump (DDoSim's external-analysis workflow).
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ class PacketRecord(NamedTuple):
     emitted it) — never from anything the wire carries — and is used only
     for training labels and accuracy scoring.
 
-    A named tuple rather than a dataclass: captures materialise millions
-    of rows per run, and tuple construction is the difference between
-    the probe dominating a batched run's profile and disappearing from
-    it.  Field access, keyword construction, and equality are unchanged.
+    Captures are stored as columns; a row is the element of the live
+    stream (one per packet handed to a probe sink) and of on-demand row
+    views.  A named tuple rather than a dataclass keeps building one
+    cheap.
     """
 
     timestamp: float
@@ -51,29 +52,7 @@ class PacketRecord(NamedTuple):
     def from_packet(cls, packet: Packet, timestamp: float) -> "PacketRecord":
         if packet.ip is None:
             raise ValueError("cannot record a packet without an IPv4 header")
-        src_port = dst_port = 0
-        tcp_flags = seq = 0
-        if packet.tcp is not None:
-            src_port = packet.tcp.src_port
-            dst_port = packet.tcp.dst_port
-            tcp_flags = int(packet.tcp.flags)
-            seq = packet.tcp.seq
-        elif packet.udp is not None:
-            src_port = packet.udp.src_port
-            dst_port = packet.udp.dst_port
-        return cls(
-            timestamp=timestamp,
-            src_ip=packet.ip.src.value,
-            dst_ip=packet.ip.dst.value,
-            protocol=packet.ip.protocol,
-            src_port=src_port,
-            dst_port=dst_port,
-            size=packet.size,
-            tcp_flags=tcp_flags,
-            seq=seq,
-            label=1 if packet.provenance.malicious else 0,
-            attack=packet.provenance.attack,
-        )
+        return cls._make(_fields(packet, timestamp))
 
     @property
     def is_tcp(self) -> bool:
@@ -103,21 +82,46 @@ class PacketRecord(NamedTuple):
         return (self.src_ip, self.src_port, self.dst_ip, self.dst_port, self.protocol)
 
 
+def _fields(packet: Packet, timestamp: float) -> tuple:
+    """One IPv4 packet's :class:`PacketRecord` field values, in field order."""
+    ip = packet.ip
+    tcp = packet.tcp
+    if tcp is not None:
+        src_port, dst_port, tcp_flags, seq = tcp.src_port, tcp.dst_port, int(tcp.flags), tcp.seq
+    elif packet.udp is not None:
+        src_port, dst_port, tcp_flags, seq = packet.udp.src_port, packet.udp.dst_port, 0, 0
+    else:
+        src_port = dst_port = tcp_flags = seq = 0
+    provenance = packet.provenance
+    return (
+        timestamp,
+        ip.src.value,
+        ip.dst.value,
+        ip.protocol,
+        src_port,
+        dst_port,
+        packet.size,
+        tcp_flags,
+        seq,
+        1 if provenance.malicious else 0,
+        provenance.attack,
+    )
+
+
 class PacketProbe:
-    """Promiscuous channel tap collecting :class:`PacketRecord` rows.
+    """Promiscuous channel tap capturing packets as columns.
 
-    Optional ``sink`` callbacks receive each record as it is captured —
-    this is how the real-time IDS subscribes to live traffic.
+    The capture is one columnar buffer, :attr:`columns`: a list per
+    :class:`PacketRecord` field, appended in arrival order by scalar
+    captures and extended with whole trains by :meth:`observe_batch`.
+    :meth:`drain_columns` hands it over (the testbed turns it into a
+    :class:`~repro.features.columnar.RecordBatch`); :attr:`records`
+    builds :class:`PacketRecord` rows from it on demand.
 
-    Train captures are **lazily materialised**: with no live sinks,
-    ``observe_batch`` stashes the train's columns and row objects are
-    only built when :attr:`records` is read.  A multi-minute batched run
-    therefore pays list conversions inside the simulation loop but
-    defers the per-row tuple constructions — the capture's dominant
-    cost — to analysis time, where the same work is no longer on the
-    simulator's critical path.  Row order is exactly scalar-equivalent:
-    any scalar capture (or a sink subscription) flushes pending trains
-    first.
+    Optional ``sink`` callbacks receive each packet as a
+    :class:`PacketRecord` as it is captured — this is how the real-time
+    IDS subscribes to live traffic.  Rows are built only while a sink is
+    subscribed.
     """
 
     def __init__(
@@ -125,8 +129,7 @@ class PacketProbe:
         pcap: "PcapWriter | None" = None,
         keep_records: bool = True,
     ) -> None:
-        self._records: list[PacketRecord] = []
-        self._pending: list[tuple] = []
+        self.columns: tuple[list, ...] = tuple([] for _ in PacketRecord._fields)
         self.pcap = pcap
         self.keep_records = keep_records
         self.sinks: list[Callable[[PacketRecord], None]] = []
@@ -134,86 +137,70 @@ class PacketProbe:
 
     @property
     def records(self) -> list[PacketRecord]:
-        """Captured rows, materialising any pending trains first."""
-        if self._pending:
-            self._flush_pending()
-        return self._records
+        """Captured rows in arrival order, built from the columns."""
+        return list(map(PacketRecord._make, zip(*self.columns)))
 
-    @staticmethod
-    def _rows(columns: tuple) -> list[PacketRecord]:
-        times, srcs, dsts, sports, dports, sizes, seqs, protocol, flags, label, attack = columns
-        return [
-            PacketRecord(
-                ts, src, dst, protocol, sport, dport, size, flags, seq, label, attack
-            )
-            for ts, src, dst, sport, dport, size, seq in zip(
-                times, srcs, dsts, sports, dports, sizes, seqs
-            )
-        ]
+    def drain_columns(self) -> Iterator[list]:
+        """Hand the capture over column by column, in field order.
 
-    def _flush_pending(self) -> None:
-        pending, self._pending = self._pending, []
-        for columns in pending:
-            self._records.extend(self._rows(columns))
+        Each column is emptied once the next one is requested, so a
+        consumer converting them one at a time (``RecordBatch.from_columns``)
+        never holds the whole capture twice.
+        """
+        for column in self.columns:
+            yield column
+            column.clear()
 
     def __call__(self, packet: Packet, timestamp: float) -> None:
         if packet.ip is None:
             return
-        record = PacketRecord.from_packet(packet, timestamp)
+        row = _fields(packet, timestamp)
         self.count += 1
         if self.keep_records:
-            if self._pending:
-                self._flush_pending()
-            self._records.append(record)
+            for column, value in zip(self.columns, row):
+                column.append(value)
         if self.pcap is not None:
             self.pcap.write(packet, timestamp)
-        for sink in self.sinks:
-            sink(record)
+        if self.sinks:
+            record = PacketRecord._make(row)
+            for sink in self.sinks:
+                sink(record)
 
     def observe_batch(self, batch: PacketBatch, times: np.ndarray) -> None:
         """Record a delivered train using its exact per-frame instants.
 
-        Produces the same :class:`PacketRecord` rows, in the same order,
-        as ``n`` scalar calls would — but builds them from the batch's
-        int64 columns without materialising packets (unless a pcap writer
-        needs the wire bytes), and defers even the row objects until
-        :attr:`records` is read when no live sink needs them now.
+        Appends the same field values, in the same order, as ``n`` scalar
+        calls would — but takes them from the batch's int64 columns
+        without materialising packets (unless a pcap writer needs the
+        wire bytes).
         """
         n = len(batch)
         if n == 0:
             return
         self.count += n
         if self.keep_records or self.sinks:
-            flags = int(batch.flags) if batch.protocol == PROTO_TCP else 0
-            seq_col = (
-                batch.seq.tolist()
-                if (batch.protocol == PROTO_TCP and batch.seq is not None)
-                else [0] * n
-            )
-            columns = (
+            tcp = batch.protocol == PROTO_TCP
+            train = (
                 times.tolist(),
                 batch.src_ip.tolist(),
                 batch.dst_ip.tolist(),
+                [batch.protocol] * n,
                 batch.src_port.tolist(),
                 batch.dst_port.tolist(),
                 batch.sizes.tolist(),
-                seq_col,
-                batch.protocol,
-                flags,
-                1 if batch.provenance.malicious else 0,
-                batch.provenance.attack,
+                [int(batch.flags) if tcp else 0] * n,
+                batch.seq.tolist() if (tcp and batch.seq is not None) else [0] * n,
+                [1 if batch.provenance.malicious else 0] * n,
+                [batch.provenance.attack] * n,
             )
+            if self.keep_records:
+                for column, values in zip(self.columns, train):
+                    column.extend(values)
             if self.sinks:
-                records = self._rows(columns)
-                if self.keep_records:
-                    if self._pending:
-                        self._flush_pending()
-                    self._records.extend(records)
+                records = list(map(PacketRecord._make, zip(*train)))
                 for sink in self.sinks:
                     for record in records:
                         sink(record)
-            elif self.keep_records:
-                self._pending.append(columns)
         if self.pcap is not None:
             for i in range(n):
                 self.pcap.write(batch.packet(i), float(times[i]))
@@ -222,8 +209,8 @@ class PacketProbe:
         self.sinks.append(sink)
 
     def clear(self) -> None:
-        self._records.clear()
-        self._pending.clear()
+        for column in self.columns:
+            column.clear()
 
 
 class PcapWriter:

@@ -20,6 +20,7 @@ scheduled flood phases run concurrently.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from repro import obs
 from repro.apps import (
@@ -38,6 +39,7 @@ from repro.botnet.telnet import VulnerableTelnet
 from repro.capture import TrafficDataset
 from repro.containers import Container, Image, Orchestrator, RestartPolicy
 from repro.faults import FaultInjector, FaultPlan
+from repro.features.columnar import RecordBatch
 from repro.ids import RealTimeIds
 from repro.ids.defense import (
     BlocklistFilter,
@@ -334,9 +336,10 @@ class Testbed:
             if pcap is not None:
                 pcap.close()
         self.orchestrator.sample_resources()
+        batch = RecordBatch.from_columns(probe.drain_columns())
         if rebase_timestamps:
-            return TrafficDataset([_rebase(r, base) for r in probe.records])
-        return TrafficDataset(list(probe.records))
+            batch = replace(batch, timestamp=batch.timestamp - base)
+        return TrafficDataset(batch)
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -545,6 +548,3 @@ class Testbed:
             inventory[name] = [p.name for p in container.processes if p.running]
         return inventory
 
-
-def _rebase(record, base: float):
-    return record._replace(timestamp=record.timestamp - base)

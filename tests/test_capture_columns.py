@@ -1,0 +1,89 @@
+"""The capture's stored form, end to end: columns from the tap to the models.
+
+Two contracts:
+
+* the bytes of a short testbed capture are pinned (``capture.csv``
+  sha256 plus its ``DatasetSummary``), on the scalar and on the batch
+  data plane, so a change to how captures are stored cannot silently
+  change what they hold;
+* ``Testbed.capture`` → ``summary()``/``to_batch()`` → ``train_models``
+  runs on columns only — no :class:`PacketRecord` row is built.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.capture import DatasetSummary
+from repro.sim.tracing import PacketRecord
+from repro.testbed import Scenario, Testbed
+from repro.testbed.experiment import default_model_specs, train_models
+from repro.testbed.scenario import AttackPhase
+
+#: (capture.csv sha256, summary) per data plane, keyed by batch mode.
+PINNED = {
+    False: (
+        "e68800eadfd23e8581d0fbed55e0f53ccfa1c5a0b6f11ca866f3fedd7d2e247f",
+        DatasetSummary(
+            total=1236,
+            malicious=804,
+            benign=432,
+            by_attack={"c2": 4, "syn_flood": 800},
+            duration=11.834492161720597,
+        ),
+    ),
+    True: (
+        "67ce287e6342c44eed21f5d8b0fcfc17bda348a804e42067f2a7ee734cdbe758",
+        DatasetSummary(
+            total=1246,
+            malicious=804,
+            benign=442,
+            by_attack={"c2": 4, "syn_flood": 800},
+            duration=10.417707816371323,
+        ),
+    ),
+}
+
+
+def short_capture(batched: bool):
+    """12 s of a two-device testbed with one 2 s SYN flood burst."""
+    scenario = Scenario(n_devices=2, seed=7, batch_floods=batched, batch_benign=batched)
+    testbed = Testbed(scenario).build()
+    testbed.infect_all()
+    flood = AttackPhase(start=4.0, kind="syn", duration=2.0, pps_per_bot=200.0)
+    return testbed.capture(12.0, [flood])
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batch"])
+def test_capture_bytes_pinned(batched, tmp_path):
+    dataset = short_capture(batched)
+    path = dataset.save(tmp_path / "capture.csv")
+    digest, summary = PINNED[batched]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert dataset.summary() == summary
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batch"])
+def test_summary_fields_are_python_scalars(batched):
+    # ExperimentResult.fingerprint() hashes their repr: a NumPy scalar
+    # would print as np.float64(...) and change every fingerprint.
+    summary = short_capture(batched).summary()
+    assert type(summary.total) is int
+    assert type(summary.malicious) is int
+    assert type(summary.benign) is int
+    assert type(summary.duration) is float
+    assert all(type(count) is int for count in summary.by_attack.values())
+
+
+def test_capture_to_training_builds_no_rows(monkeypatch):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a PacketRecord row was built")
+
+    monkeypatch.setattr(PacketRecord, "__new__", no_rows)
+    monkeypatch.setattr(PacketRecord, "_make", classmethod(no_rows))
+    dataset = short_capture(batched=False)
+    assert dataset.summary().malicious > 0
+    assert len(dataset.to_batch()) == dataset.summary().total
+    specs = [spec for spec in default_model_specs(0) if spec.name in ("RF", "K-Means")]
+    trained = train_models(dataset, specs)
+    assert [item.name for item in trained] == ["RF", "K-Means"]

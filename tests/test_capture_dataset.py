@@ -1,9 +1,12 @@
 """Tests for the labelled traffic dataset."""
 
+import csv
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.capture import TrafficDataset
+from repro.features import FeatureExtractor
 from repro.sim.tracing import PacketRecord
 
 
@@ -131,3 +134,50 @@ class TestCsv:
         loaded = TrafficDataset.from_csv(path)
         assert loaded[0].attack is None
         assert loaded[1].attack == "udp_flood"
+
+
+class TestTimeOrder:
+    """A dataset is held in time order, whatever order its rows came in."""
+
+    @staticmethod
+    def out_of_order():
+        return [record(ts=2.0, label=1, attack="syn_flood"), record(ts=1.0), record(ts=1.5)]
+
+    @staticmethod
+    def check(dataset):
+        assert dataset.duration == 2.0 - 1.0
+        _, y, _ = FeatureExtractor().transform(dataset.to_batch())
+        assert dataset.labels == y.tolist() == [0, 0, 1]
+        assert [r.timestamp for r in dataset] == [1.0, 1.5, 2.0]
+
+    def test_rows_out_of_order(self):
+        self.check(TrafficDataset(self.out_of_order()))
+
+    def test_csv_written_out_of_order(self, tmp_path):
+        path = tmp_path / "disordered.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(PacketRecord._fields)
+            for r in self.out_of_order():
+                writer.writerow([repr(r.timestamp), *r[1:-1], r.attack or ""])
+        self.check(TrafficDataset.from_csv(path))
+
+
+class TestCsvValidation:
+    def test_missing_column_named(self, tmp_path):
+        path = tmp_path / "short.csv"
+        fields = [f for f in PacketRecord._fields if f not in ("protocol", "seq")]
+        path.write_text(",".join(fields) + "\n")
+        with pytest.raises(ValueError, match="missing column.*protocol, seq"):
+            TrafficDataset.from_csv(path)
+
+    def test_empty_file_has_no_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="no CSV header"):
+            TrafficDataset.from_csv(path)
+
+    def test_header_only_is_empty_capture(self, tmp_path):
+        path = tmp_path / "header.csv"
+        TrafficDataset([]).to_csv(path)
+        assert len(TrafficDataset.from_csv(path)) == 0

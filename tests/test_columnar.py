@@ -1,8 +1,9 @@
 """Tests for the columnar record store and vectorized feature path.
 
-The contract under test: the vectorized pipeline (RecordBatch +
-compute_batch_statistics + basic_features_batch) is numerically
-interchangeable with the legacy per-record implementations to 1e-9.
+The contract under test: the library pipeline (RecordBatch +
+compute_window_statistics + basic_features_batch) is numerically
+interchangeable with the per-record oracle in ``tests.feature_oracle``
+to 1e-9.
 """
 
 import numpy as np
@@ -13,15 +14,18 @@ from repro.capture import TrafficDataset, synthetic_capture
 from repro.features import (
     FeatureExtractor,
     RecordBatch,
-    as_batch,
-    basic_features,
     basic_features_batch,
     compute_window_statistics,
-    compute_window_statistics_legacy,
-    iter_windows,
 )
 from repro.sim.packet import PROTO_TCP, PROTO_UDP, TcpFlags
 from repro.sim.tracing import PacketRecord
+from tests.feature_oracle import (
+    basic_features,
+    compute_window_statistics_legacy,
+    iter_windows,
+    transform_legacy,
+    transform_window_legacy,
+)
 
 
 def record(
@@ -106,10 +110,25 @@ class TestRecordBatch:
         legacy = dict(iter_windows(records, 1.0))
         assert sliced == legacy
 
-    def test_as_batch_passthrough(self):
-        batch = RecordBatch.from_records([record()])
-        assert as_batch(batch) is batch
-        assert isinstance(as_batch([record()]), RecordBatch)
+    def test_from_columns_matches_from_records(self):
+        records = [record(ts=2.0, sport=1), record(ts=1.0, attack="syn_flood", label=1)]
+        from_columns = RecordBatch.from_columns(zip(*records))
+        assert from_columns.to_records() == RecordBatch.from_records(records).to_records()
+        assert from_columns.timestamp.tolist() == [1.0, 2.0]
+
+    def test_from_columns_rejects_ragged_columns(self):
+        columns = [list(values) for values in zip(record(), record())]
+        columns[3].pop()
+        with pytest.raises(ValueError):
+            RecordBatch.from_columns(columns)
+        with pytest.raises(ValueError):
+            RecordBatch.from_columns(columns[:-1])
+
+    def test_to_records_yields_python_scalars(self):
+        row = RecordBatch.from_records([record(ts=0.5, attack="udp_flood")]).to_records()[0]
+        assert type(row.timestamp) is float
+        assert all(type(value) is int for value in row[1:-1])
+        assert row.attack == "udp_flood"
 
     def test_window_slices_rejects_bad_window(self):
         with pytest.raises(ValueError):
@@ -120,7 +139,8 @@ class TestVectorizedStatisticsEquivalence:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(record_strategy, min_size=0, max_size=60))
     def test_matches_legacy_on_random_windows(self, records):
-        vectorized = compute_window_statistics(records, 1.0).to_array()
+        batch = RecordBatch.from_records(records)
+        vectorized = compute_window_statistics(batch, 1.0).to_array()
         legacy = compute_window_statistics_legacy(records, 1.0).to_array()
         np.testing.assert_allclose(vectorized, legacy, atol=1e-9, rtol=0)
 
@@ -130,7 +150,8 @@ class TestVectorizedStatisticsEquivalence:
         st.sampled_from([0.5, 1.0, 2.0]),
     )
     def test_matches_legacy_for_window_lengths(self, records, window_seconds):
-        vectorized = compute_window_statistics(records, window_seconds).to_array()
+        batch = RecordBatch.from_records(records)
+        vectorized = compute_window_statistics(batch, window_seconds).to_array()
         legacy = compute_window_statistics_legacy(records, window_seconds).to_array()
         np.testing.assert_allclose(vectorized, legacy, atol=1e-9, rtol=0)
 
@@ -178,7 +199,7 @@ class TestVectorizedTransformEquivalence:
         extractor = FeatureExtractor(
             window_seconds=1.0, include_details=True, stat_set=stat_set
         )
-        X_legacy, y_legacy, w_legacy = extractor.transform_legacy(capture.records)
+        X_legacy, y_legacy, w_legacy = transform_legacy(extractor, capture.records)
         X_vector, y_vector, w_vector = extractor.transform(capture.to_batch())
         np.testing.assert_allclose(X_vector, X_legacy, atol=1e-9, rtol=0)
         np.testing.assert_array_equal(y_vector, y_legacy)
@@ -189,25 +210,20 @@ class TestVectorizedTransformEquivalence:
         extractor = FeatureExtractor(include_details=True, stat_set="extended")
         np.testing.assert_allclose(
             extractor.transform_window(capture.to_batch()),
-            extractor.transform_window_legacy(capture.records),
+            transform_window_legacy(extractor, capture.records),
             atol=1e-9,
             rtol=0,
         )
-
-    def test_transform_accepts_records_or_batch(self):
-        capture = synthetic_capture(300, duration=2.0, seed=4)
-        extractor = FeatureExtractor()
-        X_records, _, _ = extractor.transform(capture.records)
-        X_batch, _, _ = extractor.transform(capture.to_batch())
-        np.testing.assert_array_equal(X_records, X_batch)
 
     def test_transform_unsorted_records_match_sorted(self):
         capture = synthetic_capture(300, duration=3.0, seed=9)
         shuffled = list(capture.records)
         np.random.default_rng(0).shuffle(shuffled)
         extractor = FeatureExtractor()
-        X_sorted, y_sorted, w_sorted = extractor.transform(capture.records)
-        X_shuffled, y_shuffled, w_shuffled = extractor.transform(shuffled)
+        X_sorted, y_sorted, w_sorted = extractor.transform(capture.to_batch())
+        X_shuffled, y_shuffled, w_shuffled = extractor.transform(
+            RecordBatch.from_records(shuffled)
+        )
         np.testing.assert_allclose(X_shuffled, X_sorted, atol=1e-9, rtol=0)
         np.testing.assert_array_equal(w_shuffled, w_sorted)
 

@@ -9,16 +9,16 @@ from hypothesis import given, strategies as st
 from repro.features import (
     BASIC_FEATURE_NAMES,
     FeatureExtractor,
+    RecordBatch,
     STATISTICAL_FEATURE_NAMES,
     WindowAggregator,
-    basic_features,
+    basic_features_batch,
     compute_window_statistics,
-    iter_windows,
-    shannon_entropy,
 )
 from repro.features.statistical import WindowStatistics
 from repro.sim.packet import PROTO_TCP, PROTO_UDP, TcpFlags
 from repro.sim.tracing import PacketRecord
+from tests.feature_oracle import iter_windows, shannon_entropy
 
 
 def record(
@@ -40,7 +40,18 @@ def syn(ts=0.0, src=1, dst=2, sport=1000, dport=80, seq=0):
     return record(ts, src, dst, sport, dport, flags=int(TcpFlags.SYN), seq=seq)
 
 
+def basic_features(record, **flags):
+    """The library's basic feature row for one packet."""
+    return basic_features_batch(RecordBatch.from_records([record]), **flags)[0]
+
+
+def window_statistics(records, window_seconds=1.0):
+    return compute_window_statistics(RecordBatch.from_records(records), window_seconds)
+
+
 class TestShannonEntropy:
+    """The oracle's entropy, which the columnar statistics are held to."""
+
     def test_uniform_distribution_max_entropy(self):
         assert shannon_entropy([1, 1, 1, 1]) == pytest.approx(2.0)
 
@@ -99,12 +110,12 @@ class TestBasicFeatures:
 
 class TestWindowStatistics:
     def test_empty_window_is_zeros(self):
-        stats = compute_window_statistics([])
+        stats = window_statistics([])
         assert stats == WindowStatistics.zeros()
         assert (stats.to_array() == 0).all()
 
     def test_packet_and_byte_counts(self):
-        stats = compute_window_statistics([record(size=100), record(size=50)])
+        stats = window_statistics([record(size=100), record(size=50)])
         assert stats.pkt_count == 2
         assert stats.byte_count == 150
         assert stats.mean_size == 75
@@ -112,12 +123,12 @@ class TestWindowStatistics:
     def test_dport_entropy_uniform_vs_concentrated(self):
         spread = [record(dport=p) for p in range(16)]
         focused = [record(dport=80) for _ in range(16)]
-        assert compute_window_statistics(spread).dport_entropy == pytest.approx(4.0)
-        assert compute_window_statistics(focused).dport_entropy == 0.0
+        assert window_statistics(spread).dport_entropy == pytest.approx(4.0)
+        assert window_statistics(focused).dport_entropy == 0.0
 
     def test_top_dport_fraction(self):
         packets = [record(dport=80)] * 3 + [record(dport=53)]
-        assert compute_window_statistics(packets).top_dport_fraction == pytest.approx(0.75)
+        assert window_statistics(packets).top_dport_fraction == pytest.approx(0.75)
 
     def test_syn_without_ack_counts_half_handshakes(self):
         # src 1 completes a handshake (SYN then ACK); src 5 only SYNs.
@@ -127,7 +138,7 @@ class TestWindowStatistics:
             syn(src=5, dst=2, dport=80),
             syn(src=6, dst=2, dport=80),
         ]
-        stats = compute_window_statistics(packets)
+        stats = window_statistics(packets)
         assert stats.syn_count == 3
         assert stats.syn_without_ack == 2
 
@@ -137,7 +148,7 @@ class TestWindowStatistics:
             syn(src=1, sport=101, dport=80),  # same (src, dst, dport) again
             syn(src=2, sport=102, dport=80),
         ]
-        assert compute_window_statistics(packets).repeated_conn_attempts == 1
+        assert window_statistics(packets).repeated_conn_attempts == 1
 
     def test_short_lived_connections(self):
         packets = [
@@ -145,38 +156,40 @@ class TestWindowStatistics:
             record(src=1, sport=100, dport=80, flags=int(TcpFlags.FIN | TcpFlags.ACK)),
             syn(src=2, sport=200, dport=80),  # opened but never closed
         ]
-        assert compute_window_statistics(packets).short_lived_conns == 1
+        assert window_statistics(packets).short_lived_conns == 1
 
     def test_udp_fraction(self):
         packets = [record(proto=PROTO_UDP, flags=0)] * 3 + [record()]
-        assert compute_window_statistics(packets).udp_fraction == pytest.approx(0.75)
+        assert window_statistics(packets).udp_fraction == pytest.approx(0.75)
 
     def test_flow_rate_scales_with_window(self):
         packets = [record(sport=p) for p in range(10)]
-        assert compute_window_statistics(packets, 1.0).flow_rate == 10.0
-        assert compute_window_statistics(packets, 2.0).flow_rate == 5.0
+        assert window_statistics(packets, 1.0).flow_rate == 10.0
+        assert window_statistics(packets, 2.0).flow_rate == 5.0
 
     def test_seq_std_zero_for_constant(self):
         packets = [record(seq=1000)] * 5
-        assert compute_window_statistics(packets).seq_std == 0.0
+        assert window_statistics(packets).seq_std == 0.0
 
     def test_seq_std_high_for_random_floods(self):
         rng = np.random.default_rng(0)
         packets = [record(seq=int(s)) for s in rng.integers(0, 2**32, 50)]
-        assert compute_window_statistics(packets).seq_std > 0.2
+        assert window_statistics(packets).seq_std > 0.2
 
     def test_unique_counts(self):
         packets = [record(src=i % 3, dport=i % 5) for i in range(15)]
-        stats = compute_window_statistics(packets)
+        stats = window_statistics(packets)
         assert stats.unique_src == 3
         assert stats.unique_dst_ports == 5
 
     def test_array_matches_names(self):
-        array = compute_window_statistics([record()]).to_array()
+        array = window_statistics([record()]).to_array()
         assert len(array) == len(STATISTICAL_FEATURE_NAMES)
 
 
 class TestIterWindows:
+    """The oracle's windowing, which ``FeatureExtractor.transform`` is held to."""
+
     def test_assigns_by_floor_division(self):
         records = [record(ts=t) for t in (0.1, 0.9, 1.1, 2.5)]
         windows = dict(iter_windows(records, 1.0))
@@ -340,7 +353,7 @@ class TestFeatureExtractor:
         records = []
         for t in np.sort(rng.uniform(0, 5, 200)):
             records.append(record(ts=float(t), sport=int(rng.integers(1024, 60000))))
-        return records
+        return RecordBatch.from_records(records)
 
     def test_matrix_shape(self):
         extractor = FeatureExtractor(window_seconds=1.0)
@@ -396,20 +409,20 @@ class TestFeatureExtractor:
 
     def test_empty_capture(self):
         extractor = FeatureExtractor()
-        X, y, windows = extractor.transform([])
+        X, y, windows = extractor.transform(RecordBatch.empty())
         assert X.shape == (0, extractor.n_features)
         assert len(y) == 0
 
     def test_transform_window_matches_transform(self):
-        records = [record(ts=0.1), record(ts=0.2), syn(ts=0.3)]
+        batch = RecordBatch.from_records([record(ts=0.1), record(ts=0.2), syn(ts=0.3)])
         extractor = FeatureExtractor()
-        from_stream = extractor.transform_window(records)
-        from_batch, _, _ = extractor.transform(records)
+        from_stream = extractor.transform_window(batch)
+        from_batch, _, _ = extractor.transform(batch)
         np.testing.assert_allclose(from_stream, from_batch)
 
     def test_labels_preserved(self):
         records = [record(ts=0.1, label=0), record(ts=0.2, label=1)]
-        _, y, _ = FeatureExtractor().transform(records)
+        _, y, _ = FeatureExtractor().transform(RecordBatch.from_records(records))
         assert y.tolist() == [0, 1]
 
     def test_invalid_window_rejected(self):

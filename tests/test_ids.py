@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.features import FeatureExtractor
+from repro.features import FeatureExtractor, RecordBatch
 from repro.ids import RealTimeIds, ResourceMeter, TrafficMonitor
 from repro.ids.report import DetectionReport, WindowResult
 from repro.sim.packet import PROTO_TCP, TcpFlags
@@ -41,6 +41,20 @@ class ConstantModel:
 
     def predict(self, X):
         return np.full(len(X), self.value, dtype=int)
+
+
+class ColumnModel:
+    """A correct benign verdict, but shaped ``(n, 1)`` instead of ``(n,)``."""
+
+    def predict(self, X):
+        return np.zeros((len(X), 1), dtype=int)
+
+
+class ShortModel:
+    """One verdict too few for the window."""
+
+    def predict(self, X):
+        return np.zeros(len(X) - 1, dtype=int)
 
 
 class OracleModel:
@@ -134,12 +148,23 @@ class TestRealTimeIds:
         assert report.sustainability.model_size_kb > 0
         assert report.sustainability.cpu_percent >= 0
 
+    @pytest.mark.parametrize("model", [ColumnModel(), ShortModel()])
+    def test_malformed_predictions_degrade_the_window(self, model):
+        """A predict output that is not one verdict per packet is a
+        classifier error: the window degrades, the run goes on."""
+        ids = RealTimeIds(model, "malformed")
+        report = ids.process(make_stream(2))
+        assert report.n_windows == 2
+        assert all(w.is_degraded for w in report.windows)
+        assert all(w.n_malicious_predicted == 0 for w in report.windows)
+        assert ids.classifier_errors == 2
+
     def test_per_model_scaler_applied(self):
         from repro.ml import StandardScaler
 
         extractor = FeatureExtractor()
         stream = make_stream(3)
-        X, _, _ = extractor.transform(stream)
+        X, _, _ = extractor.transform(RecordBatch.from_records(stream))
         scaler = StandardScaler().fit(X)
         ids = RealTimeIds(RequireScaledModel(), "m", extractor=extractor, scaler=scaler)
         report = ids.process(stream)
