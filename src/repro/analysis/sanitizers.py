@@ -167,8 +167,10 @@ class Sanitizer:
     # Checks
 
     def check_event(self, event: Any, now: float) -> None:
-        """Event-time monotonicity: nothing executes before current time."""
-        if event.time < now:
+        """Event-time monotonicity: nothing executes before current time.
+
+        Written as ``not >=`` so a NaN event time is flagged too."""
+        if not event.time >= now:
             self.violation(
                 "event-monotonicity",
                 "event scheduled to execute before current simulation time",
@@ -185,7 +187,7 @@ class Sanitizer:
             # must equal the number of cancelled events actually sitting in
             # the heap, or COMPACT_FRACTION fires spurious sweeps (drifted
             # high) / never fires (drifted low).
-            actual = sum(1 for ev in sim._heap if ev.cancelled)
+            actual = sum(1 for entry in sim._heap if entry[3].cancelled)
             if actual != sim._cancelled_in_heap:
                 self.violation(
                     "kernel-ledger",

@@ -29,18 +29,19 @@ class SimulationError(RuntimeError):
     """Raised on kernel misuse (negative delays, scheduling in the past)."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Event:
     """A callback scheduled at an absolute virtual time.
 
-    Events order *exclusively* by :meth:`sort_key` — ``(time, priority,
-    seq)`` — so the heap pops them in chronological order with FIFO
-    ordering among simultaneous events of equal priority.  Lower
-    ``priority`` runs first at the same timestamp.  ``seq`` is a
-    per-simulator monotonic counter, making the key a strict total
-    order: equal-time events never fall back to comparing callbacks or
-    payload (which would either raise or, worse, order by ``id()`` and
-    silently differ between runs).
+    The simulator's heap holds ``(time, priority, seq, event)`` entries,
+    so heapq compares plain tuples in C and pops events in
+    :meth:`sort_key` order: chronological, lower ``priority`` first at
+    the same timestamp, FIFO among equal ``(time, priority)``.  ``seq``
+    is a per-simulator monotonic counter, so no two entries tie and a
+    comparison never reaches the event itself — callbacks and payload
+    are never compared (which would either raise or, worse, order by
+    ``id()`` and silently differ between runs).  Events themselves
+    define no ordering.
     """
 
     time: float
@@ -51,30 +52,10 @@ class Event:
     cancelled: bool = False
     _sim: "Simulator | None" = field(default=None, repr=False)
     _in_heap: bool = field(default=False, repr=False)
-    # Cached (time, priority, seq); none of those fields ever mutate
-    # after construction, and the heap compares events O(log n) times
-    # per push/pop — rebuilding the tuple per comparison dominated the
-    # kernel's profile before it was cached here.
-    _key: tuple = field(default=(), repr=False)
-
-    def __post_init__(self) -> None:
-        self._key = (self.time, self.priority, self.seq)
 
     def sort_key(self) -> tuple[float, int, int]:
         """The deterministic total order the event heap uses."""
-        return self._key
-
-    def __lt__(self, other: "Event") -> bool:
-        return self._key < other._key
-
-    def __le__(self, other: "Event") -> bool:
-        return self._key <= other._key
-
-    def __gt__(self, other: "Event") -> bool:
-        return self._key > other._key
-
-    def __ge__(self, other: "Event") -> bool:
-        return self._key >= other._key
+        return (self.time, self.priority, self.seq)
 
     def cancel(self) -> None:
         """Prevent the event from running; the owning simulator reclaims
@@ -194,7 +175,8 @@ class Simulator:
             random.Random(shuffle_buckets) if shuffle_buckets is not None else None
         )
         self._now = 0.0
-        self._heap: list[Event] = []
+        #: ``(time, priority, seq, event)`` entries; see :class:`Event`.
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
@@ -258,8 +240,8 @@ class Simulator:
         digest = hashlib.sha256()
         digest.update(f"{self._now!r}|{self._events_executed}".encode())
         pending = sorted(
-            (event.time, event.priority)
-            for event in self._heap
+            (when, priority)
+            for when, priority, _, event in self._heap
             if not event.cancelled
         )
         for when, priority in pending:
@@ -279,12 +261,12 @@ class Simulator:
             len(self._heap) >= self.COMPACT_MIN_SIZE
             and self._cancelled_in_heap > len(self._heap) * self.COMPACT_FRACTION
         ):
-            kept: list[Event] = []
-            for ev in self._heap:
-                if ev.cancelled:
-                    ev._in_heap = False
+            kept = []
+            for entry in self._heap:
+                if entry[3].cancelled:
+                    entry[3]._in_heap = False
                 else:
-                    kept.append(ev)
+                    kept.append(entry)
             # In-place so run()'s local heap alias stays valid when a
             # callback's cancellations trigger a sweep mid-drain.
             self._heap[:] = kept
@@ -302,8 +284,11 @@ class Simulator:
         priority: int = PRIORITY_NORMAL,
     ) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        # Written as `not >=` so NaN fails the check too.
+        if not delay >= 0:
+            raise SimulationError(
+                f"delay must be a non-negative number of seconds, got {delay}"
+            )
         return self.schedule_abs(self._now + delay, callback, *args, priority=priority)
 
     def schedule_abs(
@@ -314,13 +299,14 @@ class Simulator:
         priority: int = PRIORITY_NORMAL,
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute virtual time ``when``."""
-        if when < self._now:
+        if not when >= self._now:
             raise SimulationError(
-                f"cannot schedule at t={when} before current time t={self._now}"
+                f"cannot schedule at t={when}: not a time at or after the "
+                f"current time t={self._now}"
             )
-        event = Event(when, priority, next(self._seq), callback, args, _sim=self)
-        event._in_heap = True
-        heapq.heappush(self._heap, event)
+        seq = next(self._seq)
+        event = Event(when, priority, seq, callback, args, _sim=self, _in_heap=True)
+        heapq.heappush(self._heap, (when, priority, seq, event))
         self._obs_heap_depth.set(len(self._heap))
         return event
 
@@ -341,9 +327,11 @@ class Simulator:
         heap merge instead of k O(log n) pushes.
         """
         arr = np.asarray(delays, dtype=np.float64)
-        if arr.size and float(arr.min()) < 0:
+        # min() propagates NaN, which then fails `>=`.
+        if arr.size and not float(arr.min()) >= 0:
             raise SimulationError(
-                f"cannot schedule into the past (min delay={float(arr.min())})"
+                f"delays must be non-negative numbers of seconds, "
+                f"got min {float(arr.min())}"
             )
         return self.schedule_batch_abs(
             arr + self._now, callback, args_seq, priority=priority
@@ -370,10 +358,10 @@ class Simulator:
             raise SimulationError(f"times must be 1-d, got shape {arr.shape}")
         if arr.size == 0:
             return []
-        if float(arr.min()) < self._now:
+        if not float(arr.min()) >= self._now:
             raise SimulationError(
-                f"cannot schedule at t={float(arr.min())} before current "
-                f"time t={self._now}"
+                f"cannot schedule at t={float(arr.min())}: not a time at or "
+                f"after the current time t={self._now}"
             )
         if args_seq is not None and len(args_seq) != arr.size:
             raise SimulationError(
@@ -382,27 +370,26 @@ class Simulator:
         seq = self._seq
         if args_seq is None:
             events = [
-                Event(float(t), priority, next(seq), callback, (), _sim=self)
-                for t in arr
+                Event(t, priority, next(seq), callback, (), _sim=self, _in_heap=True)
+                for t in arr.tolist()
             ]
         else:
             events = [
-                Event(float(t), priority, next(seq), callback, tuple(a), _sim=self)
-                for t, a in zip(arr, args_seq)
+                Event(t, priority, next(seq), callback, tuple(a), _sim=self, _in_heap=True)
+                for t, a in zip(arr.tolist(), args_seq)
             ]
-        for event in events:
-            event._in_heap = True
+        entries = [(ev.time, priority, ev.seq, ev) for ev in events]
         heap = self._heap
         if not heap:
             # Stable sort keeps input (= seq) order among equal times, so
             # the sorted array is exactly heap order.
             order = np.argsort(arr, kind="stable")
-            heap.extend(events[i] for i in order)
-        elif len(events) < 8:
-            for event in events:
-                heapq.heappush(heap, event)
+            heap.extend(entries[i] for i in order)
+        elif len(entries) < 8:
+            for entry in entries:
+                heapq.heappush(heap, entry)
         else:
-            heap.extend(events)
+            heap.extend(entries)
             heapq.heapify(heap)
         self._obs_batch_scheduled.inc(len(events))
         self._obs_heap_depth.set(len(heap))
@@ -422,7 +409,7 @@ class Simulator:
         the current time); see :class:`PeriodicEvent`.  The first tick is at
         ``t0 + interval``.  Cancel via the returned handle.
         """
-        if interval <= 0:
+        if not interval > 0:
             raise SimulationError(f"interval must be positive, got {interval}")
         anchor = self._now if t0 is None else t0
         return PeriodicEvent(self, interval, callback, args, priority, anchor)
@@ -441,8 +428,8 @@ class Simulator:
         heap = self._heap
         try:
             while heap and not self._stopped:
-                event = heap[0]
-                if until is not None and event.time > until:
+                when, priority, _, event = heap[0]
+                if until is not None and when > until:
                     break
                 heapq.heappop(heap)
                 event._in_heap = False
@@ -455,21 +442,21 @@ class Simulator:
                     continue
                 if self.sanitizer is not None:
                     self.sanitizer.check_event(event, self._now)
-                self._now = event.time
+                self._now = when
                 # Bucket membership is *bit-equal* time by design: only
                 # events whose floats compare equal are coalesced, anything
                 # off by an ulp dispatches separately (never wrongly merged).
                 if not (
                     heap
-                    and heap[0].time == event.time  # repro: lint-ok[FLT001]
-                    and heap[0].priority == event.priority
+                    and heap[0][0] == when  # repro: lint-ok[FLT001]
+                    and heap[0][1] == priority
                 ):
                     # Fast path: no bucket mates (timers, app think time).
                     self._events_executed += 1
                     self._obs_dispatched.inc()
                     self._obs_heap_depth.set(len(heap))
                     if self._flight is not None:
-                        self._flight.note_dispatch(event.time, event.callback)
+                        self._flight.note_dispatch(when, event.callback)
                     if self._profiler is None:
                         event.callback(*event.args)
                     else:
@@ -482,10 +469,10 @@ class Simulator:
                 bucket = [event]
                 while (
                     heap
-                    and heap[0].time == event.time  # repro: lint-ok[FLT001]
-                    and heap[0].priority == event.priority
+                    and heap[0][0] == when  # repro: lint-ok[FLT001]
+                    and heap[0][1] == priority
                 ):
-                    mate = heapq.heappop(heap)
+                    mate = heapq.heappop(heap)[3]
                     mate._in_heap = False
                     if mate.cancelled:
                         self._cancelled_in_heap -= 1
@@ -529,7 +516,7 @@ class Simulator:
                     for ev in bucket[i:]:
                         if not ev.cancelled:
                             ev._in_heap = True
-                            heapq.heappush(heap, ev)
+                            heapq.heappush(heap, (ev.time, ev.priority, ev.seq, ev))
             if until is not None and not self._stopped and self._now < until:
                 self._now = until
         finally:
@@ -555,7 +542,7 @@ class Simulator:
 
     def clear(self) -> None:
         """Drop all pending events (used between experiment phases)."""
-        for event in self._heap:
-            event._in_heap = False
+        for entry in self._heap:
+            entry[3]._in_heap = False
         self._heap.clear()
         self._cancelled_in_heap = 0

@@ -2,10 +2,13 @@
 
 Two contracts:
 
-* the bytes of a short testbed capture are pinned (``capture.csv``
+* the bytes of short testbed captures are pinned (``capture.csv``
   sha256 plus its ``DatasetSummary``), on the scalar and on the batch
-  data plane, so a change to how captures are stored cannot silently
-  change what they hold;
+  data plane, and for the segmented urban smoke recipe whose floods
+  reach every transport train-demux path (ACK and RST storms, SYN trains
+  past a full backlog, mixed-source and mixed-port trains), so a change
+  to how captures are stored or demultiplexed cannot silently change
+  what they hold;
 * ``Testbed.capture`` → ``summary()``/``to_batch()`` → ``train_models``
   runs on columns only — no :class:`PacketRecord` row is built.
 """
@@ -17,6 +20,7 @@ import pytest
 from repro.capture import DatasetSummary
 from repro.sim.tracing import PacketRecord
 from repro.testbed import Scenario, Testbed
+from repro.testbed.catalog import get_scenario
 from repro.testbed.experiment import default_model_specs, train_models
 from repro.testbed.scenario import AttackPhase
 
@@ -59,6 +63,30 @@ def test_capture_bytes_pinned(batched, tmp_path):
     dataset = short_capture(batched)
     path = dataset.save(tmp_path / "capture.csv")
     digest, summary = PINNED[batched]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert dataset.summary() == summary
+
+
+#: ``urban-smoke`` at seed 7, a 4 s ``training_schedule`` capture.
+URBAN_SMOKE = (
+    "e422498b5452d4b0b7ce58bf913d4be5b32495bbc713d6ae1c935976e774e7c9",
+    DatasetSummary(
+        total=12646,
+        malicious=9114,
+        benign=3532,
+        by_attack={"c2": 72, "syn_flood": 3020, "ack_flood": 3022, "udp_flood": 3000},
+        duration=3.990777061567446,
+    ),
+)
+
+
+def test_segmented_batch_capture_pinned(tmp_path):
+    scenario = get_scenario("urban-smoke", seed=7)
+    testbed = Testbed(scenario).build()
+    testbed.infect_all()
+    dataset = testbed.capture(4.0, scenario.training_schedule(4.0))
+    path = dataset.save(tmp_path / "capture.csv")
+    digest, summary = URBAN_SMOKE
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
     assert dataset.summary() == summary
 

@@ -37,7 +37,7 @@ class TestEventMonotonicity:
         # Bypass schedule()'s own validation: push an event dated before
         # current time straight into the heap, as a kernel bug would.
         rogue = Event(1.0, 0, 10_000, lambda: None)
-        heapq.heappush(sim._heap, rogue)
+        heapq.heappush(sim._heap, (*rogue.sort_key(), rogue))
         with pytest.raises(SanitizerError, match="event-monotonicity"):
             sim.run()
 
@@ -49,6 +49,20 @@ class TestEventMonotonicity:
         assert excinfo.value.kind == "event-monotonicity"
         assert excinfo.value.context["event_time"] == 1.0
         assert excinfo.value.context["now"] == 2.0
+
+    def test_nan_event_time_is_caught(self):
+        sanitizer = Sanitizer(fatal=True)
+        rogue = Event(float("nan"), 0, 1, lambda: None)
+        with pytest.raises(SanitizerError, match="event-monotonicity"):
+            sanitizer.check_event(rogue, now=2.0)
+
+    def test_hand_pushed_nan_event_is_caught_in_run(self):
+        sim = Simulator(sanitize=True)
+        # Bypass schedule()'s own validation, as a kernel bug would.
+        rogue = Event(float("nan"), 0, 10_000, lambda: None)
+        heapq.heappush(sim._heap, (*rogue.sort_key(), rogue))
+        with pytest.raises(SanitizerError, match="event-monotonicity"):
+            sim.run()
 
     def test_clean_kernel_passes(self):
         sim = Simulator(sanitize=True)
@@ -75,14 +89,14 @@ class TestEventTotalOrder:
     def test_sort_key_is_strict_total_order(self):
         a = Event(1.0, 0, 0, lambda: None)
         b = Event(1.0, 0, 1, lambda: None)
-        assert a < b and not b < a
+        assert a.sort_key() < b.sort_key() and not b.sort_key() < a.sort_key()
         assert a.sort_key() == (1.0, 0, 0)
-        assert b >= a and a <= b
+        assert b.sort_key() >= a.sort_key() and a.sort_key() <= b.sort_key()
 
     def test_priority_still_beats_seq(self):
         timer = Event(1.0, Simulator.PRIORITY_TIMER, 0, lambda: None)
         normal = Event(1.0, Simulator.PRIORITY_NORMAL, 5, lambda: None)
-        assert normal < timer
+        assert normal.sort_key() < timer.sort_key()
 
 
 # ----------------------------------------------------------------------

@@ -78,6 +78,47 @@ def test_schedule_in_past_rejected():
         sim.schedule_abs(1.0, lambda: None)
 
 
+class TestNanTimesRejected:
+    """A NaN time compares false against everything, so a `<` check
+    lets it through and the callback then runs with ``sim.now`` NaN."""
+
+    NAN = float("nan")
+
+    def test_schedule_rejects_nan_delay(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule(self.NAN, lambda: None)
+        assert sim.pending_events == 0
+
+    def test_schedule_abs_rejects_nan_time(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule_abs(self.NAN, lambda: None)
+        assert sim.pending_events == 0
+
+    def test_schedule_batch_rejects_any_nan_delay(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule_batch([0.5, self.NAN], lambda: None)
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule_batch_abs([self.NAN, 1.0], lambda: None)
+        assert sim.pending_events == 0
+
+    def test_schedule_periodic_rejects_nan_interval(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule_periodic(self.NAN, lambda: None)
+        assert sim.pending_events == 0
+
+    def test_finite_times_still_accepted(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(0.0, seen.append, "now")
+        sim.schedule_batch([0.5, 0.25], seen.append, [("b",), ("a",)])
+        sim.run()
+        assert seen == ["now", "a", "b"]
+
+
 def test_cancelled_event_does_not_run():
     sim = Simulator()
     seen = []
