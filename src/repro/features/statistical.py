@@ -26,9 +26,13 @@ attack boundaries.  The window arrives as a
 array work:
 
 * entropies and port concentration via ``np.unique`` counts;
-* SYN-without-ACK, repeated-attempt, and short-lived-connection sets via
-  dense integer group ids (``np.unique(return_inverse=True)`` over the
-  endpoint-tuple columns) and ``np.isin``/``np.intersect1d``.
+* every endpoint-tuple grouping from one ``np.lexsort`` of the rows by
+  (src_ip, dst_ip, dst_port, src_port, protocol): the source, the
+  (src, dst, dport) triple, the 4-tuple and the 5-tuple flow are nested
+  prefixes of that order, so each level's dense group ids are a running
+  count of key changes along the sorted rows;
+* SYN-without-ACK, repeated-attempt and short-lived-connection counts as
+  per-group flag arrays and a ``bincount`` over those ids.
 """
 
 from __future__ import annotations
@@ -140,22 +144,6 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def _group_ids(*columns: np.ndarray) -> np.ndarray:
-    """Dense integer ids for the row tuples of the given columns.
-
-    Equal tuples map to equal ids, so set algebra over endpoint tuples
-    (membership, intersection, multiplicity) becomes integer-array work.
-    Each accumulation step re-densifies, keeping values < n and far from
-    int64 overflow regardless of column magnitudes.
-    """
-    ids = np.zeros(len(columns[0]), dtype=np.int64)
-    for column in columns:
-        _, inverse = np.unique(column, return_inverse=True)
-        ids = ids * (int(inverse.max()) + 1 if len(inverse) else 1) + inverse
-        _, ids = np.unique(ids, return_inverse=True)
-    return ids
-
-
 def compute_window_statistics(
     batch: RecordBatch, window_seconds: float = 1.0
 ) -> WindowStatistics:
@@ -173,30 +161,44 @@ def compute_window_statistics(
     rst_mask = batch.is_rst
     syn_count = int(syn_mask.sum())
 
+    # One sort groups every endpoint tuple: ordered by (src, dst, dport,
+    # sport, proto), the source, the (src, dst, dport) triple, the 4-tuple
+    # and the 5-tuple flow are nested prefixes.  ``opens`` marks the sorted
+    # rows that start a group at the current level, and its running count
+    # is each row's dense group id at that level.
+    keys = (batch.src_ip, batch.dst_ip, batch.dst_port, batch.src_port, batch.protocol)
+    order = np.lexsort(keys[::-1])  # lexsort's primary key comes last
+    src, dst, dport, sport, proto = (column[order] for column in keys)
+    opens = np.zeros(n, dtype=bool)
+    opens[1:] = src[1:] != src[:-1]
+    unique_src = np.count_nonzero(opens) + 1
+    opens[1:] |= (dst[1:] != dst[:-1]) | (dport[1:] != dport[:-1])
+    triple = np.cumsum(opens)
+    opens[1:] |= sport[1:] != sport[:-1]
+    quad = np.cumsum(opens)
+    opens[1:] |= proto[1:] != proto[:-1]
+    n_flows = np.count_nonzero(opens) + 1
+
     # A SYN "without corresponding ACK" is a connection opener from a
     # (src, dst, dport) that never completes the handshake within the
-    # window.  The triple ids are shared by the SYN and ACK sides, so a
-    # half-open handshake is a SYN id absent from the pure-ACK id set.
-    triple = _group_ids(batch.src_ip, batch.dst_ip, batch.dst_port)
-    syn_triples = triple[syn_mask]
-    ack_triples = triple[ack_mask & ~syn_mask]
-    if syn_count:
-        syn_without_ack = int(np.isin(syn_triples, ack_triples, invert=True).sum())
-        _, attempt_counts = np.unique(syn_triples, return_counts=True)
-        repeated = int((attempt_counts > 1).sum())
-    else:
-        syn_without_ack = 0
-        repeated = 0
+    # window: a SYN in a triple holding no pure ACK.  A triple opened by
+    # more than one SYN is a repeated attempt.
+    syn_sorted = syn_mask[order]
+    n_triples = int(triple[-1]) + 1
+    attempts = np.bincount(triple[syn_sorted], minlength=n_triples)
+    acked = np.zeros(n_triples, dtype=bool)
+    acked[triple[(ack_mask & ~syn_mask)[order]]] = True
+    syn_without_ack = int(attempts[~acked].sum())
+    repeated = int((attempts > 1).sum())
 
     # Short-lived connections: 4-tuples that both open (SYN) and
     # terminate (FIN or RST) inside the window.
-    quad = _group_ids(batch.src_ip, batch.src_port, batch.dst_ip, batch.dst_port)
-    short_lived = len(np.intersect1d(quad[syn_mask], quad[batch.is_fin | rst_mask]))
-
-    flow = _group_ids(
-        batch.src_ip, batch.src_port, batch.dst_ip, batch.dst_port, batch.protocol
-    )
-    n_flows = int(flow.max()) + 1
+    n_quads = int(quad[-1]) + 1
+    opened = np.zeros(n_quads, dtype=bool)
+    opened[quad[syn_sorted]] = True
+    closed = np.zeros(n_quads, dtype=bool)
+    closed[quad[(batch.is_fin | rst_mask)[order]]] = True
+    short_lived = int((opened & closed).sum())
 
     tcp_seqs = batch.seq[batch.is_tcp].astype(np.float64)
     seq_std = float(np.std(tcp_seqs / 2**32)) if tcp_seqs.size else 0.0
@@ -209,7 +211,7 @@ def compute_window_statistics(
         std_size=float(sizes.std()),
         dport_entropy=_entropy(dport_counts),
         sport_entropy=_entropy(sport_counts),
-        unique_src=float(len(np.unique(batch.src_ip))),
+        unique_src=float(unique_src),
         unique_dst_ports=float(len(dport_counts)),
         top_dport_fraction=int(dport_counts.max()) / n,
         syn_count=float(syn_count),

@@ -12,8 +12,10 @@ Table II's three metrics, measured for real:
   cost across models — which is what the table compares — does not depend
   on it.
 * **Memory (Kb)** — real ``tracemalloc`` peak allocation during a
-  window's detection compute, averaged over windows (the working set the
-  detection step occupies on top of the resident model).
+  window's detection compute, above the traced size at the window's
+  start, averaged over windows (the working set the detection step
+  occupies on top of the resident model, even when something else
+  already traces allocations).
 * **Model size (Kb)** — real pickled size of the trained model (the
   paper's PKL file).
 
@@ -120,13 +122,15 @@ class ResourceMeter:
             self._pub_windows = NULL_INSTRUMENT
         self._cpu_start: float | None = None
         self._tracing = False
+        self._traced_start = 0
 
     def start_window(self) -> None:
         """Begin measuring one window's detection compute."""
         self._tracing = not tracemalloc.is_tracing()
         if self._tracing:
             tracemalloc.start()
-        tracemalloc.reset_peak() if tracemalloc.is_tracing() else None
+        tracemalloc.reset_peak()
+        self._traced_start, _ = tracemalloc.get_traced_memory()
         self._cpu_start = time.process_time()
 
     def end_window(self) -> None:
@@ -139,6 +143,7 @@ class ResourceMeter:
         self._cpu_start = None
         if tracemalloc.is_tracing():
             _, peak = tracemalloc.get_traced_memory()
+            peak -= self._traced_start
             self._memory.observe(peak)
             self._pub_memory.observe(peak)
             if self._tracing:

@@ -1,6 +1,6 @@
 """The capture's stored form, end to end: columns from the tap to the models.
 
-Two contracts:
+Three contracts:
 
 * the bytes of short testbed captures are pinned (``capture.csv``
   sha256 plus its ``DatasetSummary``), on the scalar and on the batch
@@ -10,14 +10,18 @@ Two contracts:
   to how captures are stored or demultiplexed cannot silently change
   what they hold;
 * ``Testbed.capture`` → ``summary()``/``to_batch()`` → ``train_models``
-  runs on columns only — no :class:`PacketRecord` row is built.
+  runs on columns only — no :class:`PacketRecord` row is built;
+* the bytes of every 1 s window's statistics row are pinned on two
+  captures, so a statistics kernel that moved one rounding would fail
+  here even where the 1e-9 oracle comparison passes.
 """
 
 import hashlib
 
 import pytest
 
-from repro.capture import DatasetSummary
+from repro.capture import DatasetSummary, synthetic_capture
+from repro.features import compute_window_statistics
 from repro.sim.tracing import PacketRecord
 from repro.testbed import Scenario, Testbed
 from repro.testbed.catalog import get_scenario
@@ -80,15 +84,42 @@ URBAN_SMOKE = (
 )
 
 
-def test_segmented_batch_capture_pinned(tmp_path):
+@pytest.fixture(scope="module")
+def urban_smoke_capture():
     scenario = get_scenario("urban-smoke", seed=7)
     testbed = Testbed(scenario).build()
     testbed.infect_all()
-    dataset = testbed.capture(4.0, scenario.training_schedule(4.0))
+    return testbed.capture(4.0, scenario.training_schedule(4.0))
+
+
+def test_segmented_batch_capture_pinned(urban_smoke_capture, tmp_path):
+    dataset = urban_smoke_capture
     path = dataset.save(tmp_path / "capture.csv")
     digest, summary = URBAN_SMOKE
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
     assert dataset.summary() == summary
+
+
+#: sha256 over ``compute_window_statistics(w).to_array().tobytes()`` of
+#: every 1 s window, in window order.  The synthetic capture has no
+#: short-lived connection; the urban one has some, and all three floods.
+WINDOW_STATISTICS = {
+    "synthetic": "42a86887e791706abcbf2166de6cb828a5f1ea1009337d0dcfdf385fedf432c4",
+    "urban-smoke": "ab74488aadc9f5b07915fae4baded15aee43b2c685221163bd316702aee4d1d3",
+}
+
+
+def window_statistics_digest(dataset) -> str:
+    digest = hashlib.sha256()
+    for _, window in dataset.to_batch().window_slices(1.0):
+        digest.update(compute_window_statistics(window).to_array().tobytes())
+    return digest.hexdigest()
+
+
+def test_window_statistics_pinned(urban_smoke_capture):
+    synthetic = synthetic_capture(3_000, duration=10.0, seed=11)
+    assert window_statistics_digest(synthetic) == WINDOW_STATISTICS["synthetic"]
+    assert window_statistics_digest(urban_smoke_capture) == WINDOW_STATISTICS["urban-smoke"]
 
 
 @pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batch"])

@@ -62,6 +62,40 @@ record_strategy = st.builds(
 )
 
 
+def value_pool(low, high, aliases=()):
+    """A small pool of full-range values: draws, extremes and aliases.
+
+    The aliases share their low bits with an extreme (``2**16`` and
+    ``2**31`` with address ``0``; ports ``256`` with ``0`` and ``255``
+    with ``65535``), so a kernel that truncated or packed key columns
+    would merge groups.
+    """
+    edges = st.sampled_from((low, high, *aliases))
+    return st.lists(edges | st.integers(low, high), min_size=1, max_size=4)
+
+
+@st.composite
+def full_range_records(draw):
+    """One window drawn from full-range pools, keeping tuple collisions."""
+    ips = draw(value_pool(0, 2**32 - 1, aliases=(2**16, 2**31)))
+    ports = draw(value_pool(0, 65535, aliases=(255, 256)))
+    protocols = draw(value_pool(0, 255, aliases=(PROTO_TCP, PROTO_UDP)))
+    rows = st.builds(
+        record,
+        ts=st.floats(min_value=0.0, max_value=0.999),
+        src=st.sampled_from(ips),
+        dst=st.sampled_from(ips),
+        sport=st.sampled_from(ports),
+        dport=st.sampled_from(ports),
+        proto=st.sampled_from(protocols),
+        flags=st.integers(0, 0x3F),
+        size=st.integers(40, 1500),
+        seq=st.integers(0, 2**32 - 1),
+        label=st.integers(0, 1),
+    )
+    return draw(st.lists(rows, max_size=60))
+
+
 class TestRecordBatch:
     def test_round_trip(self):
         records = [record(ts=0.1, attack="syn_flood", label=1), record(ts=0.5)]
@@ -137,12 +171,13 @@ class TestRecordBatch:
 
 class TestVectorizedStatisticsEquivalence:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(record_strategy, min_size=0, max_size=60))
-    def test_matches_legacy_on_random_windows(self, records):
-        batch = RecordBatch.from_records(records)
-        vectorized = compute_window_statistics(batch, 1.0).to_array()
-        legacy = compute_window_statistics_legacy(records, 1.0).to_array()
-        np.testing.assert_allclose(vectorized, legacy, atol=1e-9, rtol=0)
+    @given(st.lists(record_strategy, min_size=0, max_size=60), full_range_records())
+    def test_matches_legacy_on_random_windows(self, records, wide_records):
+        for window in (records, wide_records):
+            batch = RecordBatch.from_records(window)
+            vectorized = compute_window_statistics(batch, 1.0).to_array()
+            legacy = compute_window_statistics_legacy(window, 1.0).to_array()
+            np.testing.assert_allclose(vectorized, legacy, atol=1e-9, rtol=0)
 
     @settings(max_examples=50, deadline=None)
     @given(

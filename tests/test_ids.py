@@ -1,5 +1,7 @@
 """Tests for the real-time IDS unit: monitor, engine, meter, report."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,25 @@ class TestResourceMeter:
         assert meter.windows_measured == 1
         assert meter.cpu_seconds_total > 0
         assert meter.memory_kb > 0
+
+    def test_memory_excludes_heap_traced_before_the_window(self):
+        # Under ambient tracing (``python -X tracemalloc``, or a caller's
+        # own ``tracemalloc.start()``) the window's memory is its own peak,
+        # not the whole traced heap.
+        ambient = tracemalloc.is_tracing()
+        if not ambient:
+            tracemalloc.start()
+        try:
+            ballast = bytearray(16_000_000)
+            meter = ResourceMeter(1.0)
+            meter.start_window()
+            window = bytearray(80_000)
+            meter.end_window()
+            del ballast, window
+        finally:
+            if not ambient:
+                tracemalloc.stop()
+        assert 80 <= meter.memory_kb < 1_000
 
     def test_end_without_start_raises(self):
         with pytest.raises(RuntimeError):
