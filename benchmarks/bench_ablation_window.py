@@ -51,7 +51,7 @@ def sweep(train_capture, detect_capture, seed):
                 model, f"K-Means@{period}s", extractor=extractor, scaler=scaler,
                 window_seconds=period,
             )
-            return ids.process(detect_capture.records)
+            return ids.process(detect_capture.to_batch())
 
         if i == 0:
             run_ids()  # warm-up: populate numpy/alloc caches once

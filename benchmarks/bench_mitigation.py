@@ -12,7 +12,6 @@ series are compared.
 import numpy as np
 
 from repro.ids import BlocklistFilter, MitigatingIds, RealTimeIds
-from repro.sim.tracing import PacketProbe
 from repro.testbed import Scenario, Testbed, attach_victim_monitor, train_models
 
 from conftest import write_result
@@ -34,15 +33,15 @@ def run_phase(testbed, scenario, defended: bool, trained):
             window_seconds=scenario.window_seconds,
         )
         MitigatingIds(ids, filt)
-        probe = PacketProbe(keep_records=False)
-        probe.subscribe(ids.monitor._on_record)
-        testbed.lan.add_probe(probe)
+        # The IDS is the tap: it takes the LAN's frames and trains
+        # through the probe interface the testbed's IDS container feeds.
+        testbed.lan.add_probe(ids)
     start = testbed.sim.now
     phases = scenario.detection_schedule(RUN_SECONDS, pps_per_bot=80)
     capture = testbed.capture(RUN_SECONDS, phases)
     monitor.stop()
     if defended:
-        testbed.lan.channel.remove_probe(probe)
+        testbed.lan.remove_probe(ids)
         filt.uninstall()
     return {
         "monitor": monitor.series,

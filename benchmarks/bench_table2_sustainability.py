@@ -30,7 +30,7 @@ def run_one(detect_capture, trained, scenario):
         scaler=item.scaler,
         window_seconds=scenario.window_seconds,
     )
-    return ids.process(detect_capture.records)
+    return ids.process(detect_capture.to_batch())
 
 
 def test_table2_sustainability(benchmark, detect_capture, trained_models, scenario, detection_reports):

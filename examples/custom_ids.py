@@ -69,7 +69,7 @@ def main() -> None:
     custom.calibrate(extractor.feature_names)
     custom.fit(X_train, y_train)
     custom_report = RealTimeIds(custom, "threshold-rules", extractor=extractor).process(
-        live.records
+        live.to_batch()
     )
 
     # Built-in K-Means for comparison (scaled view).
@@ -77,7 +77,7 @@ def main() -> None:
     kmeans = KMeansDetector(n_clusters=40, auto_k=False, random_state=3)
     kmeans.fit(scaler.transform(X_train), y_train)
     km_report = RealTimeIds(kmeans, "K-Means", extractor=extractor, scaler=scaler).process(
-        live.records
+        live.to_batch()
     )
 
     print("real-time comparison on the same live capture:")

@@ -43,7 +43,7 @@ def main() -> None:
     # 5. Real-time detection on a fresh live run.
     live = testbed.capture(20.0, scenario.detection_schedule(20.0))
     ids = RealTimeIds(model, "K-Means", extractor=extractor, scaler=scaler)
-    report = ids.process(live.records)
+    report = ids.process(live.to_batch())
     print(report)
     print(f"alerts raised in {len(ids.alerts)} windows")
 

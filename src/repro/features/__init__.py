@@ -12,9 +12,10 @@ features are identical for every packet inside a window.
 
 Everything reads one representation: a capture or window held as a
 columnar :class:`~repro.features.columnar.RecordBatch`, with every
-statistic computed by NumPy array operations.  The streaming IDS
-assembles its windows record by record with
-:class:`~repro.features.window.WindowAggregator`.
+statistic computed by NumPy array operations.  Offline, windows are the
+capture's :meth:`~repro.features.columnar.RecordBatch.window_slices`;
+the live IDS tap assembles the same windows from delivered field values
+with :class:`~repro.features.window.WindowAggregator`.
 """
 
 from repro.features.basic import BASIC_FEATURE_NAMES, basic_features_batch

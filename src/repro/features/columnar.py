@@ -6,13 +6,14 @@ struct-of-arrays — one NumPy column per
 capture takes from the probe to the models: the probe hands its capture
 over as columns, a :class:`~repro.capture.dataset.TrafficDataset` holds
 one batch, and the feature pipeline computes every §IV-A statistic from
-it with array operations.  Rows are always timestamp-sorted, so window
-slicing is a pair of ``np.searchsorted`` lookups returning zero-copy
-views.
+it with array operations.  Rows are always timestamp-sorted, so each
+time window is a contiguous run of rows, sliced out as a zero-copy view.
 
-Per-record rows remain the element of the streaming IDS (probe sink →
-monitor → window aggregator), which builds one batch per window with
-:meth:`RecordBatch.from_records`.
+The real-time IDS reads the same form: offline it scores the
+:meth:`RecordBatch.window_slices` of a capture, the windows training
+uses, and live its window aggregator emits each closed window as one
+batch built from the tap's field values.  Rows
+(:meth:`RecordBatch.to_records`) are a view for inspection only.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ class RecordBatch:
     """A struct-of-arrays view of an ordered packet capture.
 
     Rows are always sorted by timestamp (:meth:`from_columns` stable-sorts
-    out-of-order input), which is what makes window slicing a pair of
-    ``searchsorted`` lookups instead of a scan.  ``slice`` returns
-    zero-copy views of the underlying columns.
+    out-of-order input), which is what makes every time window a
+    contiguous run of rows.  ``slice`` returns zero-copy views of the
+    underlying columns.
     """
 
     timestamp: np.ndarray
@@ -67,6 +68,8 @@ class RecordBatch:
         fields int64 and ``attack`` an object column; rows are
         stable-sorted by timestamp only when the input is out of order.
         Columns are converted one at a time, as ``columns`` yields them.
+        A NaN or infinite timestamp has no window and no place in the
+        order, so it raises ``ValueError``.
         """
         arrays = [
             np.asarray(values, dtype=dtype)
@@ -74,6 +77,8 @@ class RecordBatch:
         ]
         if any(len(column) != len(arrays[0]) for column in arrays):
             raise ValueError("columns differ in length")
+        if not np.isfinite(arrays[0]).all():
+            raise ValueError("timestamps must be finite")
         batch = cls(*arrays)
         n = len(batch)
         if n > 1 and np.any(np.diff(batch.timestamp) < 0):
@@ -151,15 +156,15 @@ class RecordBatch:
     ) -> Iterator[tuple[int, "RecordBatch"]]:
         """Yield ``(window_index, batch_view)`` for each non-empty window.
 
-        The per-row index column is nondecreasing (rows are sorted), so
-        each window is a contiguous run located with ``np.searchsorted``
-        and returned as a zero-copy slice.
+        The one window splitter: training (``FeatureExtractor.transform``)
+        and detection (``RealTimeIds.process``) both read it.  The
+        per-row index column is nondecreasing (rows are sorted), so each
+        window is a contiguous run, cut where the index changes and
+        returned as a zero-copy slice.
         """
         if len(self) == 0:
             return
         indices = self.window_indices(window_seconds)
-        windows = np.unique(indices)
-        bounds = np.searchsorted(indices, windows, side="left")
-        ends = np.append(bounds[1:], len(indices))
-        for window, start, stop in zip(windows, bounds, ends):
-            yield int(window), self.slice(int(start), int(stop))
+        cuts = (np.flatnonzero(np.diff(indices)) + 1).tolist()
+        for start, stop in zip([0, *cuts], [*cuts, len(self)]):
+            yield int(indices[start]), self.slice(start, stop)

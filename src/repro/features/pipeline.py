@@ -146,8 +146,9 @@ class FeatureExtractor:
         labels and ``window_ids`` the window index of each packet.
 
         The basic block is computed in a single vectorized pass over
-        every packet, then each window (a zero-copy slice) contributes
-        its statistics row.
+        every packet, then each window of
+        :meth:`~repro.features.columnar.RecordBatch.window_slices` (the
+        windows the real-time IDS scores) contributes its statistics row.
         """
         n = len(batch)
         if n == 0:
@@ -163,15 +164,13 @@ class FeatureExtractor:
         X[:, :n_basic] = basic_features_batch(
             batch, self.include_ips, self.include_timestamp, self.include_details
         )
-        # Fill statistic rows window by window: rows are timestamp-sorted,
-        # so each window is a contiguous run of the index column.
+        # Fill statistic rows window by window: each window is the next
+        # contiguous run of rows.
         if len(self.stat_names):
-            boundaries = np.flatnonzero(np.diff(window_ids)) + 1
-            starts = np.concatenate(([0], boundaries))
-            stops = np.concatenate((boundaries, [n]))
-            for start, stop in zip(starts, stops):
-                stats = compute_window_statistics(
-                    batch.slice(int(start), int(stop)), self.window_seconds
-                ).to_array()
+            start = 0
+            for _, window in batch.window_slices(self.window_seconds):
+                stop = start + len(window)
+                stats = compute_window_statistics(window, self.window_seconds).to_array()
                 X[start:stop, n_basic:] = stats[self._stat_columns]
+                start = stop
         return X, y, window_ids.astype(int)

@@ -1,11 +1,15 @@
 """The real-time IDS unit (Figure 2 of the paper).
 
 Three stages, mirroring the paper's IDS component: real-time traffic
-monitoring (:mod:`repro.ids.monitor` subscribes to the capture tap),
+monitoring (a :class:`~repro.ids.engine.RealTimeIds` is itself the
+capture tap, taking delivered frames and trains as field values),
 preprocessing (window aggregation + feature extraction + scaling), and
-attack identification (the ML model).  :mod:`repro.ids.meter` measures
-the CPU, memory, and model-size sustainability metrics of Table II, and
-:mod:`repro.ids.report` holds the result dataclasses.
+attack identification (the ML model), all on columnar
+:class:`~repro.features.columnar.RecordBatch` windows.
+:mod:`repro.ids.meter` measures the CPU, memory, and model-size
+sustainability metrics of Table II, :mod:`repro.ids.report` holds the
+result dataclasses, and :mod:`repro.ids.defense` turns window verdicts
+into mitigation.
 """
 
 from repro.ids.defense import (
@@ -21,7 +25,6 @@ from repro.ids.defense import (
 )
 from repro.ids.engine import RealTimeIds
 from repro.ids.meter import IOT_CPU_SCALE, ResourceMeter, SustainabilityMetrics
-from repro.ids.monitor import TrafficMonitor
 from repro.ids.report import (
     STATUS_DEGRADED,
     STATUS_HEALTHY,
@@ -46,6 +49,5 @@ __all__ = [
     "ResourceMeter",
     "SustainabilityMetrics",
     "TokenBucket",
-    "TrafficMonitor",
     "WindowResult",
 ]

@@ -30,7 +30,7 @@ and mirrored into :mod:`repro.obs` as ``mitigation.*`` events.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable
 
@@ -39,11 +39,11 @@ import numpy as np
 from repro import obs
 from repro.sim.address import Ipv4Address
 from repro.sim.packet import PROTO_TCP, Packet, PacketBatch
-from repro.sim.tracing import PacketRecord
 
 if TYPE_CHECKING:
     from repro.containers.orchestrator import SupervisorEvent
     from repro.faults.injector import FaultEvent
+    from repro.features.columnar import RecordBatch
     from repro.ids.engine import RealTimeIds
     from repro.sim.core import Simulator
     from repro.sim.node import Node
@@ -283,7 +283,7 @@ class BlocklistFilter:
 
     def apply_window_verdict(
         self,
-        records: list[PacketRecord],
+        window: "RecordBatch",
         predictions: np.ndarray,
         min_flagged: int = 10,
     ) -> int:
@@ -293,12 +293,11 @@ class BlocklistFilter:
         blocked when they account for several flagged packets, keeping
         single misclassifications from blocking a benign device.
         """
-        if len(records) != len(predictions):
-            raise ValueError("records and predictions misaligned")
-        flagged: dict[int, int] = defaultdict(int)
-        for record, prediction in zip(records, predictions):
-            if prediction == 1:
-                flagged[record.src_ip] += 1
+        predictions = np.asarray(predictions)
+        if len(window) != len(predictions):
+            raise ValueError("window and predictions misaligned")
+        # Python ints, counted in order of first appearance.
+        flagged = Counter(window.src_ip[predictions == 1].tolist())
         newly_blocked = 0
         expiry = self.node.sim.now + self.block_seconds
         for src, count in flagged.items():
@@ -660,18 +659,14 @@ class MitigationController:
     # ------------------------------------------------------------------
     # IDS verdicts → filter policy
 
-    def _on_window(self, index: int, records, predictions, status: str) -> None:
+    def _on_window(self, index: int, window: "RecordBatch", predictions, status: str) -> None:
         now = self.sim.now
         victim_ip = self.victim.address.value
-        preds = np.asarray(predictions)
-        flagged: dict[int, int] = defaultdict(int)
-        seen: dict[int, int] = defaultdict(int)
-        for record, pred in zip(records, preds):
-            seen[record.src_ip] += 1
-            if pred == 1:
-                flagged[record.src_ip] += 1
-            if record.label == 1:
-                self.malicious_srcs.add(record.src_ip)
+        # Source ids leave NumPy here: they key sets, events and JSON.
+        sources = window.src_ip
+        flagged = Counter(sources[np.asarray(predictions) == 1].tolist())
+        seen = Counter(sources.tolist())
+        self.malicious_srcs.update(sources[window.label == 1].tolist())
         offenders = sorted(
             src
             for src, count in flagged.items()
@@ -806,7 +801,7 @@ class MitigatingIds:
         self.blocks_issued = 0
         ids.add_window_listener(self._on_window)
 
-    def _on_window(self, index: int, records, predictions, status: str) -> None:
+    def _on_window(self, index: int, window: "RecordBatch", predictions, status: str) -> None:
         preds = np.asarray(predictions)
         if int(preds.sum()) > 0:
-            self.blocks_issued += self.filter.apply_window_verdict(records, preds)
+            self.blocks_issued += self.filter.apply_window_verdict(window, preds)

@@ -1,9 +1,11 @@
 """Stages 2-3 of the IDS: preprocessing and attack identification.
 
-:class:`RealTimeIds` wires the pipeline of the paper's Figure 2: packets
-stream in from a :class:`~repro.ids.monitor.TrafficMonitor`, a
-:class:`~repro.features.window.WindowAggregator` closes each time window,
-the :class:`~repro.features.pipeline.FeatureExtractor` computes basic +
+:class:`RealTimeIds` wires the pipeline of the paper's Figure 2 on
+columnar windows: live, it is the capture tap and a
+:class:`~repro.features.window.WindowAggregator` closes each time window
+as one :class:`~repro.features.columnar.RecordBatch`; offline,
+:meth:`RealTimeIds.process` scores a capture's ``window_slices``.  The
+:class:`~repro.features.pipeline.FeatureExtractor` computes basic +
 statistical features, the scaler normalises them, the trained model
 classifies every packet, and the per-window accuracy against ground
 truth is recorded (the paper's real-time metric).  Resource use of each
@@ -13,7 +15,7 @@ window's compute is metered for Table II.
 from __future__ import annotations
 
 import math
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
@@ -22,7 +24,6 @@ from repro.features.columnar import RecordBatch
 from repro.features.pipeline import FeatureExtractor
 from repro.features.window import WindowAggregator
 from repro.ids.meter import ResourceMeter
-from repro.ids.monitor import TrafficMonitor
 from repro.ids.report import (
     STATUS_DEGRADED,
     STATUS_HEALTHY,
@@ -30,7 +31,10 @@ from repro.ids.report import (
     WindowResult,
 )
 from repro.ml.serialization import model_size_kb
-from repro.sim.tracing import PacketRecord
+from repro.sim.tracing import packet_fields, train_fields
+
+if TYPE_CHECKING:
+    from repro.sim.packet import Packet, PacketBatch
 
 
 class Classifier(Protocol):
@@ -66,7 +70,6 @@ class RealTimeIds:
         self.scaler = scaler or _IdentityScaler()
         self.window_seconds = window_seconds
         self.meter = meter or ResourceMeter(window_seconds, model=model_name)
-        self.monitor = TrafficMonitor(self._on_record)
         ctx = obs.current()
         self._obs_events = ctx.events
         self._obs_errors = ctx.registry.counter(
@@ -75,7 +78,7 @@ class RealTimeIds:
         # Late-bound dispatch so wrappers (e.g. MitigatingIds) can hook
         # the per-window handler after construction.
         self._aggregator = WindowAggregator(
-            window_seconds, lambda index, records: self._on_window(index, records)
+            window_seconds, lambda index, window: self._on_window(index, window)
         )
         self.report = DetectionReport(model_name)
         self.alerts: list[tuple[float, int]] = []  # (window start, n flagged)
@@ -88,10 +91,11 @@ class RealTimeIds:
     # Fault awareness
 
     def add_window_listener(self, listener) -> None:
-        """Subscribe ``listener(index, records, predictions, status)``.
+        """Subscribe ``listener(index, window, predictions, status)``.
 
-        Called after every *scored* window (outage gap-fill windows carry
-        no records, hence no verdict to act on).  This is how mitigation
+        Called after every *scored* window, a ``RecordBatch`` with one
+        prediction per row (outage gap-fill windows carry no packets,
+        hence no verdict to act on).  This is how mitigation
         couples to detection without monkey-patching the window handler.
         """
         self.window_listeners.append(listener)
@@ -130,38 +134,47 @@ class RealTimeIds:
     # ------------------------------------------------------------------
     # Pipeline
 
-    def _on_record(self, record: PacketRecord) -> None:
-        self._aggregator.add(record)
+    def __call__(self, packet: "Packet", timestamp: float) -> None:
+        """Live tap: one delivered frame (non-IP frames are skipped).
 
-    def _on_window(self, index: int, records: list[PacketRecord]) -> None:
-        # Fill interior gaps: the aggregator only emits non-empty windows,
-        # so missing indices mean the tap went blind (partition / restart).
+        With :meth:`observe_batch` this is the probe interface, so the
+        IDS can be added to a channel like a ``PacketProbe``.
+        """
+        if packet.ip is not None:
+            self._aggregator.add(packet_fields(packet, timestamp))
+
+    def observe_batch(self, batch: "PacketBatch", times: np.ndarray) -> None:
+        """Live tap: a delivered train at its exact per-frame instants."""
+        if len(batch) == 0:
+            return
+        self._aggregator.extend(train_fields(batch, times))
+
+    def _on_window(self, index: int, window: RecordBatch) -> None:
+        # Fill interior gaps: windows arrive only when non-empty, so
+        # missing indices mean the tap went blind (partition / restart).
         if self._last_index is not None:
             for missing in range(self._last_index + 1, index):
                 self._emit_outage(missing)
         self._last_index = index
-        if not records:
-            self._emit_outage(index)
-            return
-        batch = RecordBatch.from_records(records)
-        labels = batch.label.astype(int)
+        n_packets = len(window)
+        labels = window.label.astype(int)
         status = STATUS_DEGRADED if self._window_degraded(index) else STATUS_HEALTHY
         self.meter.start_window()
         try:
-            X = self.extractor.transform_window(batch)
+            X = self.extractor.transform_window(window)
             X = self.scaler.transform(X)
             predictions = np.asarray(self.model.predict(X), dtype=int)
-            if predictions.shape != (len(records),):
+            if predictions.shape != (n_packets,):
                 raise ValueError(
                     f"predict returned shape {predictions.shape} "
-                    f"for {len(records)} packets"
+                    f"for {n_packets} packets"
                 )
         except Exception:
             # Classifier/pipeline failure mid-run: degrade the window
             # instead of taking the whole IDS down with it.
             self.classifier_errors += 1
             self._obs_errors.inc()
-            predictions = np.zeros(len(records), dtype=int)
+            predictions = np.zeros(n_packets, dtype=int)
             status = STATUS_DEGRADED
         finally:
             self.meter.end_window()
@@ -177,7 +190,7 @@ class RealTimeIds:
             WindowResult(
                 window_index=index,
                 start_time=start_time,
-                n_packets=len(records),
+                n_packets=n_packets,
                 n_malicious_true=int(labels.sum()),
                 n_malicious_predicted=flagged,
                 accuracy=accuracy,
@@ -185,28 +198,28 @@ class RealTimeIds:
             )
         )
         for listener in list(self.window_listeners):
-            listener(index, records, predictions, status)
+            listener(index, window, predictions, status)
 
-    def process(
-        self, records: Sequence[PacketRecord], until: float | None = None
-    ) -> DetectionReport:
-        """Run the full loop over a recorded stream and finish.
+    def process(self, batch: RecordBatch, until: float | None = None) -> DetectionReport:
+        """Score every window of a recorded capture and finish.
 
+        The windows are ``batch.window_slices``, the ones training reads.
         ``until`` extends degraded-outage accounting to the capture's
         nominal end time: trailing windows the tap never saw (e.g. a
         partition running past the last packet) get explicit verdicts.
         """
-        self.monitor.replay(records)
+        for index, window in batch.window_slices(self.window_seconds):
+            self._on_window(index, window)
         return self.finish(until=until)
 
     @property
     def records_reordered(self) -> int:
-        """Out-of-order records the aggregator sorted into their true window."""
+        """Live rows that arrived behind a newer timestamp."""
         return self._aggregator.records_reordered
 
     @property
     def records_dropped_late(self) -> int:
-        """Records dropped because their window had already been emitted."""
+        """Live rows dropped because their window had already been emitted."""
         return self._aggregator.records_dropped_late
 
     def finish(self, until: float | None = None) -> DetectionReport:

@@ -7,13 +7,15 @@ on a channel captures the flat per-packet facts of a
 consumes — and can simultaneously stream the raw frames to a
 :class:`PcapWriter`, which emits genuine libpcap files readable by
 Wireshark/tcpdump (DDoSim's external-analysis workflow).
+:func:`packet_fields` and :func:`train_fields` are the one field
+extraction, shared by the probe and the live IDS tap.
 """
 
 from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -30,10 +32,9 @@ class PacketRecord(NamedTuple):
     emitted it) — never from anything the wire carries — and is used only
     for training labels and accuracy scoring.
 
-    Captures are stored as columns; a row is the element of the live
-    stream (one per packet handed to a probe sink) and of on-demand row
-    views.  A named tuple rather than a dataclass keeps building one
-    cheap.
+    Captures are stored as columns; a row is only an on-demand view of
+    them (:attr:`PacketProbe.records`, ``RecordBatch.to_records``).  A
+    named tuple rather than a dataclass keeps building one cheap.
     """
 
     timestamp: float
@@ -52,7 +53,7 @@ class PacketRecord(NamedTuple):
     def from_packet(cls, packet: Packet, timestamp: float) -> "PacketRecord":
         if packet.ip is None:
             raise ValueError("cannot record a packet without an IPv4 header")
-        return cls._make(_fields(packet, timestamp))
+        return cls._make(packet_fields(packet, timestamp))
 
     @property
     def is_tcp(self) -> bool:
@@ -82,7 +83,7 @@ class PacketRecord(NamedTuple):
         return (self.src_ip, self.src_port, self.dst_ip, self.dst_port, self.protocol)
 
 
-def _fields(packet: Packet, timestamp: float) -> tuple:
+def packet_fields(packet: Packet, timestamp: float) -> tuple:
     """One IPv4 packet's :class:`PacketRecord` field values, in field order."""
     ip = packet.ip
     tcp = packet.tcp
@@ -108,6 +109,30 @@ def _fields(packet: Packet, timestamp: float) -> tuple:
     )
 
 
+def train_fields(batch: PacketBatch, times: np.ndarray) -> tuple[list, ...]:
+    """A train's :class:`PacketRecord` field values: one list per field.
+
+    Row ``i`` equals :func:`packet_fields` of ``batch.packet(i)`` at
+    ``times[i]``, taken from the batch's columns without materialising
+    packets.
+    """
+    n = len(batch)
+    tcp = batch.protocol == PROTO_TCP
+    return (
+        times.tolist(),
+        batch.src_ip.tolist(),
+        batch.dst_ip.tolist(),
+        [batch.protocol] * n,
+        batch.src_port.tolist(),
+        batch.dst_port.tolist(),
+        batch.sizes.tolist(),
+        [int(batch.flags) if tcp else 0] * n,
+        batch.seq.tolist() if (tcp and batch.seq is not None) else [0] * n,
+        [1 if batch.provenance.malicious else 0] * n,
+        [batch.provenance.attack] * n,
+    )
+
+
 class PacketProbe:
     """Promiscuous channel tap capturing packets as columns.
 
@@ -117,11 +142,6 @@ class PacketProbe:
     :meth:`drain_columns` hands it over (the testbed turns it into a
     :class:`~repro.features.columnar.RecordBatch`); :attr:`records`
     builds :class:`PacketRecord` rows from it on demand.
-
-    Optional ``sink`` callbacks receive each packet as a
-    :class:`PacketRecord` as it is captured — this is how the real-time
-    IDS subscribes to live traffic.  Rows are built only while a sink is
-    subscribed.
     """
 
     def __init__(
@@ -132,7 +152,6 @@ class PacketProbe:
         self.columns: tuple[list, ...] = tuple([] for _ in PacketRecord._fields)
         self.pcap = pcap
         self.keep_records = keep_records
-        self.sinks: list[Callable[[PacketRecord], None]] = []
         self.count = 0
 
     @property
@@ -154,17 +173,12 @@ class PacketProbe:
     def __call__(self, packet: Packet, timestamp: float) -> None:
         if packet.ip is None:
             return
-        row = _fields(packet, timestamp)
         self.count += 1
         if self.keep_records:
-            for column, value in zip(self.columns, row):
+            for column, value in zip(self.columns, packet_fields(packet, timestamp)):
                 column.append(value)
         if self.pcap is not None:
             self.pcap.write(packet, timestamp)
-        if self.sinks:
-            record = PacketRecord._make(row)
-            for sink in self.sinks:
-                sink(record)
 
     def observe_batch(self, batch: PacketBatch, times: np.ndarray) -> None:
         """Record a delivered train using its exact per-frame instants.
@@ -178,35 +192,12 @@ class PacketProbe:
         if n == 0:
             return
         self.count += n
-        if self.keep_records or self.sinks:
-            tcp = batch.protocol == PROTO_TCP
-            train = (
-                times.tolist(),
-                batch.src_ip.tolist(),
-                batch.dst_ip.tolist(),
-                [batch.protocol] * n,
-                batch.src_port.tolist(),
-                batch.dst_port.tolist(),
-                batch.sizes.tolist(),
-                [int(batch.flags) if tcp else 0] * n,
-                batch.seq.tolist() if (tcp and batch.seq is not None) else [0] * n,
-                [1 if batch.provenance.malicious else 0] * n,
-                [batch.provenance.attack] * n,
-            )
-            if self.keep_records:
-                for column, values in zip(self.columns, train):
-                    column.extend(values)
-            if self.sinks:
-                records = list(map(PacketRecord._make, zip(*train)))
-                for sink in self.sinks:
-                    for record in records:
-                        sink(record)
+        if self.keep_records:
+            for column, values in zip(self.columns, train_fields(batch, times)):
+                column.extend(values)
         if self.pcap is not None:
             for i in range(n):
                 self.pcap.write(batch.packet(i), float(times[i]))
-
-    def subscribe(self, sink: Callable[[PacketRecord], None]) -> None:
-        self.sinks.append(sink)
 
     def clear(self) -> None:
         for column in self.columns:

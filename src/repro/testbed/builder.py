@@ -57,25 +57,25 @@ class TestbedError(RuntimeError):
 
 
 class _LiveTapRx:
-    """RX callback feeding the live IDS tap, batched trains included.
+    """RX callback feeding the live IDS, batched trains included.
 
     Exposing ``observe_batch`` lets the device hand whole
     :class:`~repro.sim.packet.PacketBatch` trains (with their exact
-    per-frame delivery instants) straight to the probe instead of
+    per-frame delivery instants) straight to the IDS instead of
     materialising every packet at the tap.
     """
 
-    __slots__ = ("probe", "sim")
+    __slots__ = ("ids", "sim")
 
-    def __init__(self, probe: PacketProbe, sim: Simulator) -> None:
-        self.probe = probe
+    def __init__(self, ids: RealTimeIds, sim: Simulator) -> None:
+        self.ids = ids
         self.sim = sim
 
     def __call__(self, frame) -> None:
-        self.probe(frame, self.sim.now)
+        self.ids(frame, self.sim.now)
 
     def observe_batch(self, batch, times) -> None:
-        self.probe.observe_batch(batch, times)
+        self.ids.observe_batch(batch, times)
 
 
 class Testbed:
@@ -453,14 +453,12 @@ class Testbed:
             upstream=upstream,
             ids_container="ids",
         )
-        # The live tap: the IDS container's promiscuous device feeds a
-        # record probe, which feeds the IDS monitor.  Kill/partition of
-        # the container detaches the device and blinds the tap — exactly
-        # the failure the fallback state machine covers.
-        tap = PacketProbe(keep_records=False)
-        live.monitor.attach(tap)
+        # The live tap: the IDS container's promiscuous device feeds the
+        # IDS its frames and trains.  Kill/partition of the container
+        # detaches the device and blinds the tap — exactly the failure
+        # the fallback state machine covers.
         device = ids_container.node.interfaces[0].device
-        tap_rx = _LiveTapRx(tap, self.sim)
+        tap_rx = _LiveTapRx(live, self.sim)
         device.add_rx_callback(tap_rx)
         self.orchestrator.listeners.append(controller.on_supervisor_event)
         self._fault_listeners.append(controller.on_fault_event)

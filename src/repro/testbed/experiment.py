@@ -204,7 +204,7 @@ def run_realtime_detection(
         )
         for start, stop in degraded_intervals or []:
             ids.mark_degraded(start, stop)
-        reports.append(ids.process(capture.records, until=until))
+        reports.append(ids.process(capture.to_batch(), until=until))
     return reports
 
 

@@ -4,14 +4,17 @@ The library computes every feature from a columnar ``RecordBatch``.
 This module keeps the original record-at-a-time walk — plain Python
 sets, counters and loops over ``PacketRecord`` rows — as the oracle the
 columnar path is held equal to (1e-9 on the statistics, exact on labels
-and window ids).  It is test code only: nothing in ``src/`` imports it.
+and window ids), and the record-at-a-time live window assembler
+(:class:`RowWindowAggregator`) the columnar one is held equal to.  It is
+test code only: nothing in ``src/`` imports it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import Counter, defaultdict
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -219,3 +222,63 @@ def transform_legacy(
         np.array(labels, dtype=int),
         np.array(window_ids, dtype=int),
     )
+
+
+class RowWindowAggregator:
+    """The live window assembler, one ``PacketRecord`` at a time.
+
+    The rule the columnar ``WindowAggregator`` must reproduce exactly:
+    buffered rows stay timestamp-sorted (``insort`` keeps arrival order
+    among equal timestamps); after each row, every buffered window older
+    than the window of the newest timestamp is emitted, in index order,
+    as its list of rows.  A row for an already-emitted window is dropped
+    and counted in ``records_dropped_late``; a row behind the newest
+    timestamp counts in ``records_reordered``.
+    """
+
+    def __init__(
+        self,
+        window_seconds: float,
+        on_window: Callable[[int, list[PacketRecord]], None],
+    ) -> None:
+        self.window_seconds = window_seconds
+        self.on_window = on_window
+        self._pending: list[PacketRecord] = []  # always timestamp-sorted
+        self._max_timestamp: float | None = None
+        self._next_index: int | None = None  # first index not yet emitted
+        self.windows_emitted = 0
+        self.records_reordered = 0
+        self.records_dropped_late = 0
+
+    def _index_of(self, record: PacketRecord) -> int:
+        return int(record.timestamp // self.window_seconds)
+
+    def add(self, record: PacketRecord) -> None:
+        if self._next_index is not None and self._index_of(record) < self._next_index:
+            self.records_dropped_late += 1
+            return
+        if self._max_timestamp is not None and record.timestamp < self._max_timestamp:
+            self.records_reordered += 1
+            insort(self._pending, record, key=lambda r: r.timestamp)
+        else:
+            self._pending.append(record)
+            self._max_timestamp = record.timestamp
+        self._emit_through(int(self._max_timestamp // self.window_seconds))
+
+    def flush(self) -> None:
+        self._emit_through(None)
+
+    def _emit_through(self, limit: int | None) -> None:
+        """Emit buffered windows with index < ``limit`` (all if None)."""
+        while self._pending:
+            index = self._index_of(self._pending[0])
+            if limit is not None and index >= limit:
+                return
+            cut = 1
+            while cut < len(self._pending) and self._index_of(self._pending[cut]) == index:
+                cut += 1
+            bucket = self._pending[:cut]
+            del self._pending[:cut]
+            self._next_index = index + 1
+            self.windows_emitted += 1
+            self.on_window(index, bucket)

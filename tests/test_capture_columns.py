@@ -10,22 +10,30 @@ Three contracts:
   to how captures are stored or demultiplexed cannot silently change
   what they hold;
 * ``Testbed.capture`` → ``summary()``/``to_batch()`` → ``train_models``
-  runs on columns only — no :class:`PacketRecord` row is built;
+  runs on columns only — no :class:`PacketRecord` row is built — and so
+  does the real-time IDS, live on the testbed tap and offline in
+  ``run_realtime_detection``;
 * the bytes of every 1 s window's statistics row are pinned on two
   captures, so a statistics kernel that moved one rounding would fail
   here even where the 1e-9 oracle comparison passes.
 """
 
 import hashlib
+from types import SimpleNamespace
 
 import pytest
 
 from repro.capture import DatasetSummary, synthetic_capture
-from repro.features import compute_window_statistics
+from repro.features import FeatureExtractor, compute_window_statistics
+from repro.ids import MitigationPlan
 from repro.sim.tracing import PacketRecord
 from repro.testbed import Scenario, Testbed
 from repro.testbed.catalog import get_scenario
-from repro.testbed.experiment import default_model_specs, train_models
+from repro.testbed.experiment import (
+    default_model_specs,
+    run_realtime_detection,
+    train_models,
+)
 from repro.testbed.scenario import AttackPhase
 
 #: (capture.csv sha256, summary) per data plane, keyed by batch mode.
@@ -134,15 +142,53 @@ def test_summary_fields_are_python_scalars(batched):
     assert all(type(count) is int for count in summary.by_attack.values())
 
 
-def test_capture_to_training_builds_no_rows(monkeypatch):
+def forbid_rows(monkeypatch):
     def no_rows(*args, **kwargs):
         raise AssertionError("a PacketRecord row was built")
 
     monkeypatch.setattr(PacketRecord, "__new__", no_rows)
     monkeypatch.setattr(PacketRecord, "_make", classmethod(no_rows))
+
+
+def test_capture_to_training_builds_no_rows(monkeypatch):
+    forbid_rows(monkeypatch)
     dataset = short_capture(batched=False)
     assert dataset.summary().malicious > 0
     assert len(dataset.to_batch()) == dataset.summary().total
     specs = [spec for spec in default_model_specs(0) if spec.name in ("RF", "K-Means")]
     trained = train_models(dataset, specs)
     assert [item.name for item in trained] == ["RF", "K-Means"]
+
+
+class FlagSynPorts:
+    """Toy model: flags packets to port 80 (features: ts, proto, sport, dport)."""
+
+    def predict(self, X):
+        return (X[:, 3] == 80).astype(int)
+
+
+class _Unscaled:
+    def transform(self, X):
+        return X
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batch"])
+def test_ids_builds_no_rows(batched, monkeypatch):
+    forbid_rows(monkeypatch)
+    scenario = Scenario(n_devices=2, seed=7, batch_floods=batched, batch_benign=batched)
+    testbed = Testbed(scenario).build()
+    testbed.infect_all()
+    toy = SimpleNamespace(
+        name="toy", model=FlagSynPorts(), extractor=FeatureExtractor(), scaler=_Unscaled()
+    )
+    controller = testbed.install_mitigation(MitigationPlan(model="toy", mode="monitor"), toy)
+    flood = AttackPhase(start=4.0, kind="syn", duration=2.0, pps_per_bot=200.0)
+    capture = testbed.capture(12.0, [flood])
+    testbed.uninstall_mitigation()
+    assert any(event.action == "verdict" for event in controller.events)
+    [offline] = run_realtime_detection(capture, [toy])
+    assert offline.n_windows >= 10
+    assert sum(w.n_packets for w in offline.windows) == len(capture)
+    # The live tap saw the frames the capture probe saw, in time order.
+    assert controller.ids.records_reordered == controller.ids.records_dropped_late == 0
+    assert controller.ids.report.windows[: offline.n_windows] == offline.windows

@@ -177,6 +177,18 @@ class TestCsvValidation:
         with pytest.raises(ValueError, match="no CSV header"):
             TrafficDataset.from_csv(path)
 
+    def test_nan_timestamp_rejected(self, tmp_path):
+        """A NaN timestamp has no window: it must not load as a capture
+        the IDS would score under a bogus window index."""
+        path = tmp_path / "nan.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(PacketRecord._fields)
+            for ts in ("0.1", "0.4", "nan", "1.2", "1.7"):
+                writer.writerow([ts, *record()[1:-1], ""])
+        with pytest.raises(ValueError, match="finite"):
+            TrafficDataset.from_csv(path)
+
     def test_header_only_is_empty_capture(self, tmp_path):
         path = tmp_path / "header.csv"
         TrafficDataset([]).to_csv(path)

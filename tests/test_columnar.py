@@ -6,6 +6,8 @@ interchangeable with the per-record oracle in ``tests.feature_oracle``
 to 1e-9.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +159,13 @@ class TestRecordBatch:
             RecordBatch.from_columns(columns)
         with pytest.raises(ValueError):
             RecordBatch.from_columns(columns[:-1])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_from_columns_rejects_non_finite_timestamps(self, bad):
+        columns = [list(values) for values in zip(record(ts=0.5), record(ts=1.5))]
+        columns[0][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            RecordBatch.from_columns(columns)
 
     def test_to_records_yields_python_scalars(self):
         row = RecordBatch.from_records([record(ts=0.5, attack="udp_flood")]).to_records()[0]

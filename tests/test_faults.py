@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.features import RecordBatch
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -318,8 +319,7 @@ def _record(t: float, label: int = 0) -> PacketRecord:
 class TestIdsDegradation:
     def test_interior_gap_emits_outage_windows(self):
         ids = RealTimeIds(_ZeroModel(), "Z", window_seconds=1.0)
-        records = [_record(0.5), _record(4.5)]
-        report = ids.process(records)
+        report = ids.process(RecordBatch.from_records([_record(0.5), _record(4.5)]))
         statuses = [(w.window_index, w.status) for w in report.windows]
         assert statuses == [
             (0, "healthy"), (1, STATUS_DEGRADED), (2, STATUS_DEGRADED),
@@ -330,14 +330,16 @@ class TestIdsDegradation:
 
     def test_until_extends_trailing_outage(self):
         ids = RealTimeIds(_ZeroModel(), "Z", window_seconds=1.0)
-        report = ids.process([_record(0.5)], until=4.0)
+        report = ids.process(RecordBatch.from_records([_record(0.5)]), until=4.0)
         assert [w.window_index for w in report.windows] == [0, 1, 2, 3]
         assert all(w.is_degraded for w in report.windows[1:])
 
     def test_marked_interval_degrades_overlapping_windows(self):
         ids = RealTimeIds(_ZeroModel(), "Z", window_seconds=1.0)
         ids.mark_degraded(1.5, 2.5)
-        report = ids.process([_record(0.5), _record(1.6), _record(2.6), _record(3.5)])
+        report = ids.process(
+            RecordBatch.from_records([_record(0.5), _record(1.6), _record(2.6), _record(3.5)])
+        )
         assert [w.status for w in report.windows] == [
             "healthy", STATUS_DEGRADED, STATUS_DEGRADED, "healthy"
         ]
@@ -349,7 +351,9 @@ class TestIdsDegradation:
 
     def test_classifier_exception_degrades_window(self):
         ids = RealTimeIds(_FailingModel(), "boom", window_seconds=1.0)
-        report = ids.process([_record(0.5, label=0), _record(0.6, label=1)])
+        report = ids.process(
+            RecordBatch.from_records([_record(0.5, label=0), _record(0.6, label=1)])
+        )
         assert ids.classifier_errors == 1
         window = report.windows[0]
         assert window.is_degraded and window.scored
@@ -359,7 +363,9 @@ class TestIdsDegradation:
         ids = RealTimeIds(_ZeroModel(), "Z", window_seconds=1.0)
         ids.mark_degraded(1.0, 2.0)
         report = ids.process(
-            [_record(0.5, label=0), _record(1.5, label=1)]  # healthy hit, degraded miss
+            RecordBatch.from_records(
+                [_record(0.5, label=0), _record(1.5, label=1)]  # healthy hit, degraded miss
+            )
         )
         assert report.healthy_accuracy == pytest.approx(1.0)
         assert report.degraded_accuracy == pytest.approx(0.0)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.features import (
     BASIC_FEATURE_NAMES,
@@ -18,7 +18,7 @@ from repro.features import (
 from repro.features.statistical import WindowStatistics
 from repro.sim.packet import PROTO_TCP, PROTO_UDP, TcpFlags
 from repro.sim.tracing import PacketRecord
-from tests.feature_oracle import iter_windows, shannon_entropy
+from tests.feature_oracle import RowWindowAggregator, iter_windows, shannon_entropy
 
 
 def record(
@@ -34,6 +34,58 @@ def record(
     label=0,
 ):
     return PacketRecord(ts, src, dst, proto, sport, dport, size, flags, seq, label)
+
+
+#: Timestamps on a 1/8 s grid (exact window boundaries such as 2.0, and
+#: duplicates) or anywhere in [0, 6].
+ARRIVAL_TIMES = st.one_of(
+    st.integers(0, 48).map(lambda k: k / 8),
+    st.floats(0, 6, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def arrivals(draw):
+    """Arrival chunks ``(kind, rows)`` for the live window assembler.
+
+    A chunk is one ``"row"``, a ``"train"`` with strictly increasing
+    times, or a ``"flush"`` (no rows).  The chunks arrive sorted by first
+    timestamp or in drawn order, so a chunk can be behind the stream: a
+    straggler for the open window, for a passed one, or for one already
+    emitted.  Each row's ``src_port`` is its arrival number, so the
+    column bytes pin the row order.
+    """
+    chunks = []
+    port = 0
+    kinds = st.sampled_from(["row", "row", "train", "train", "flush"])
+    for kind in draw(st.lists(kinds, max_size=30)):
+        if kind == "train":
+            times = sorted(draw(st.lists(ARRIVAL_TIMES, min_size=1, max_size=6, unique=True)))
+        elif kind == "row":
+            times = [draw(ARRIVAL_TIMES)]
+        else:
+            times = []
+        rows = []
+        for t in times:
+            port += 1
+            label = int(port % 3 == 0)
+            attack = "udp_flood" if label else None
+            rows.append(PacketRecord(t, 1, 2, PROTO_UDP, port, 53, 60, 0, 0, label, attack))
+        chunks.append((kind, rows))
+    if draw(st.booleans()):  # sort the rows and trains; flushes keep their place
+        slots = [i for i, (kind, _) in enumerate(chunks) if kind != "flush"]
+        ordered = sorted((chunks[i] for i in slots), key=lambda chunk: chunk[1][0].timestamp)
+        for i, chunk in zip(slots, ordered):
+            chunks[i] = chunk
+    return chunks
+
+
+def window_bytes(window):
+    """A window's columns as bytes (the object column ``attack`` as values)."""
+    return tuple(
+        column.tolist() if column.dtype == object else column.tobytes()
+        for column in window.columns
+    )
 
 
 def syn(ts=0.0, src=1, dst=2, sport=1000, dport=80, seq=0):
@@ -256,55 +308,21 @@ class TestWindowAggregator:
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
             WindowAggregator(-1.0, lambda i, r: None)
-        with pytest.raises(ValueError):
-            WindowAggregator(1.0, lambda i, r: None, reorder_horizon=-0.5)
 
     def test_reordered_record_filed_into_true_window(self):
-        """An out-of-order record inside the horizon lands in its own
-        window, not whichever bucket happened to be open."""
+        """An out-of-order record lands in its own window, not whichever
+        bucket happened to be open: sorted into the open window, or
+        emitted at once as a window the stream has already passed."""
         emitted = {}
-        agg = WindowAggregator(
-            1.0, lambda i, recs: emitted.__setitem__(i, recs), reorder_horizon=0.5
-        )
-        for t in (0.2, 1.1, 0.8, 1.4, 2.9):  # 0.8 arrives late
+        agg = WindowAggregator(1.0, lambda i, window: emitted.__setitem__(i, window))
+        for t in (0.2, 0.8, 0.5, 2.5, 1.5, 2.9):  # 0.5 and 1.5 arrive late
             agg.add(record(ts=t))
         agg.flush()
         assert sorted(emitted) == [0, 1, 2]
-        assert [r.timestamp for r in emitted[0]] == [0.2, 0.8]
-        assert [r.timestamp for r in emitted[1]] == [1.1, 1.4]
-        assert agg.records_reordered == 1
-        assert agg.records_dropped_late == 0
-
-    def test_jittered_stream_matches_sorted_assignment(self):
-        rng = np.random.default_rng(12)
-        times = np.sort(rng.uniform(0, 6, 120))
-        jittered = times + rng.uniform(-0.3, 0.3, 120)  # bounded reorder
-        order = np.argsort(times, kind="stable")
-
-        def run(stream_times, horizon):
-            emitted = {}
-            agg = WindowAggregator(
-                1.0,
-                lambda i, recs: emitted.__setitem__(i, [r.src_port for r in recs]),
-                reorder_horizon=horizon,
-            )
-            for sport, t in stream_times:
-                agg.add(record(ts=max(0.0, float(t)), sport=sport))
-            agg.flush()
-            return emitted, agg
-
-        # Identity of each record is its src_port; deliver in jittered
-        # arrival order vs sorted order and compare window assignment.
-        arrival = sorted(enumerate(jittered), key=lambda item: item[1])
-        by_jittered_arrival = [
-            (i, max(0.0, float(times[i]))) for i, _ in arrival
-        ]
-        by_sorted = [(int(i), max(0.0, float(times[i]))) for i in order]
-        jittered_windows, agg = run(by_jittered_arrival, horizon=0.6)
-        sorted_windows, _ = run(by_sorted, horizon=0.0)
-        assert {k: sorted(v) for k, v in jittered_windows.items()} == {
-            k: sorted(v) for k, v in sorted_windows.items()
-        }
+        assert emitted[0].timestamp.tolist() == [0.2, 0.5, 0.8]
+        assert emitted[1].timestamp.tolist() == [1.5]
+        assert emitted[2].timestamp.tolist() == [2.5, 2.9]
+        assert agg.records_reordered == 2
         assert agg.records_dropped_late == 0
 
     def test_too_late_record_dropped_with_counter(self):
@@ -319,9 +337,7 @@ class TestWindowAggregator:
 
     def test_emission_order_strictly_increasing_under_jitter(self):
         indices = []
-        agg = WindowAggregator(
-            1.0, lambda i, recs: indices.append(i), reorder_horizon=0.5
-        )
+        agg = WindowAggregator(1.0, lambda i, recs: indices.append(i))
         rng = np.random.default_rng(7)
         times = rng.uniform(0, 10, 200)
         times = np.clip(np.sort(times) + rng.uniform(-0.4, 0.4, 200), 0, None)
@@ -331,20 +347,42 @@ class TestWindowAggregator:
         assert indices == sorted(indices)
         assert len(set(indices)) == len(indices)
 
-    def test_no_packet_lost_or_duplicated_within_horizon(self):
-        counts = []
-        agg = WindowAggregator(
-            1.0, lambda i, recs: counts.append(len(recs)), reorder_horizon=1.0
+    @settings(max_examples=300, deadline=None)
+    @given(arrivals(), st.sampled_from([1.0, 0.5, 0.3]))
+    def test_matches_row_oracle(self, chunks, window_seconds):
+        """The columnar assembler against the record-at-a-time one: the
+        same windows (column bytes), emitted in the same order during
+        the same ``add`` call or train chunk, with the same counters."""
+        chunk_no = 0
+        emitted: dict[str, list] = {"oracle": [], "columnar": []}
+
+        def sink(name):
+            return lambda index, window: emitted[name].append(
+                (chunk_no, index, window_bytes(window))
+            )
+
+        oracle = RowWindowAggregator(
+            window_seconds,
+            lambda index, rows: sink("oracle")(index, RecordBatch.from_records(rows)),
         )
-        rng = np.random.default_rng(3)
-        # Jitter of ±0.4 displaces a timestamp at most 0.8s behind the
-        # stream maximum, so a 1.0s horizon must lose nothing.
-        times = np.clip(np.sort(rng.uniform(0, 5, 80)) + rng.uniform(-0.4, 0.4, 80), 0, None)
-        for t in times:
-            agg.add(record(ts=float(t)))
-        agg.flush()
-        assert sum(counts) + agg.records_dropped_late == 80
-        assert agg.records_dropped_late == 0  # horizon covers the jitter
+        columnar = WindowAggregator(window_seconds, sink("columnar"))
+        for chunk_no, (kind, rows) in enumerate(chunks):
+            if kind == "flush":
+                oracle.flush()
+                columnar.flush()
+                continue
+            for row in rows:
+                oracle.add(row)
+            if kind == "train":
+                columnar.extend([list(column) for column in zip(*rows)])
+            else:
+                columnar.add(rows[0])
+        chunk_no = len(chunks)
+        oracle.flush()
+        columnar.flush()
+        assert emitted["columnar"] == emitted["oracle"]
+        for counter in ("windows_emitted", "records_reordered", "records_dropped_late"):
+            assert getattr(columnar, counter) == getattr(oracle, counter)
 
 
 class TestFeatureExtractor:

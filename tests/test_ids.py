@@ -1,15 +1,16 @@
-"""Tests for the real-time IDS unit: monitor, engine, meter, report."""
+"""Tests for the real-time IDS unit: live tap, engine, meter, report."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.features import FeatureExtractor, RecordBatch
-from repro.ids import RealTimeIds, ResourceMeter, TrafficMonitor
+from repro.ids import RealTimeIds, ResourceMeter
 from repro.ids.report import DetectionReport, WindowResult
-from repro.sim.packet import PROTO_TCP, TcpFlags
-from repro.sim.tracing import PacketRecord
+from repro.sim.packet import PROTO_TCP, PacketBatch, Provenance, TcpFlags
+from repro.sim.tracing import PacketProbe, PacketRecord
 
 
 def record(ts, label=0, sport=40000, dport=80):
@@ -78,34 +79,94 @@ def make_stream(seconds=4, per_window=10, malicious_windows=()):
         label = 1 if s in malicious_windows else 0
         for i in range(per_window):
             records.append(record(s + i / (per_window + 1), label=label))
-    return records
+    return RecordBatch.from_records(records)
 
 
-class TestTrafficMonitor:
-    def test_replay_forwards_in_order(self):
-        seen = []
-        monitor = TrafficMonitor(seen.append)
-        stream = make_stream(2)
-        monitor.replay(stream)
-        assert seen == stream
-        assert monitor.packets_seen == len(stream)
+def batch(*records):
+    return RecordBatch.from_records(records) if records else RecordBatch.empty()
 
+
+class TestLiveTap:
     def test_live_attach(self):
-        from repro.sim.tracing import PacketProbe
+        """The IDS is a probe: a delivered IPv4 frame lands in its window,
+        a non-IP frame is skipped."""
         from repro.sim.packet import EthernetHeader, Ipv4Header, Packet, TcpHeader
         from repro.sim.address import Ipv4Address, MacAddress
 
-        seen = []
-        monitor = TrafficMonitor(seen.append)
-        probe = PacketProbe()
-        monitor.attach(probe)
+        ids = RealTimeIds(ConstantModel(0), "m")
         packet = Packet(
             eth=EthernetHeader(MacAddress(1), MacAddress(2)),
             ip=Ipv4Header(Ipv4Address(1), Ipv4Address(2), PROTO_TCP),
             tcp=TcpHeader(1, 2),
         )
-        probe(packet, 0.5)
-        assert len(seen) == 1
+        ids(packet, 0.5)
+        ids(Packet(payload=b"junk"), 0.6)
+        report = ids.finish()
+        assert [(w.window_index, w.n_packets) for w in report.windows] == [(0, 1)]
+
+
+class PortParity:
+    """Flags odd source ports, so verdicts depend on each row."""
+
+    def predict(self, X):
+        return X[:, 2].astype(int) % 2
+
+
+#: Gaps between successive timestamps: 1/8 s steps land exactly on
+#: window boundaries (2.0), and free floats land anywhere.
+GAPS = st.one_of(st.sampled_from([0.125, 0.25, 0.5]), st.floats(1e-3, 0.7))
+
+
+@st.composite
+def live_stream(draw):
+    """Frames and trains in time order, as ``(batch, times)`` chunks.
+
+    A one-row chunk is delivered as a scalar frame.  A train's times
+    strictly increase; a chunk may start at its predecessor's last
+    timestamp.
+    """
+    t, port, chunks = 0.0, 0, []
+    for is_train in draw(st.lists(st.booleans(), min_size=1, max_size=15)):
+        n = draw(st.integers(2, 6)) if is_train else 1
+        times = []
+        for i in range(n):
+            t += draw(GAPS) if i else draw(st.one_of(st.just(0.0), GAPS))
+            times.append(t)
+        malicious = draw(st.booleans())
+        batch = PacketBatch.udp_batch(
+            n,
+            src_ip=draw(st.integers(1, 4)),
+            dst_ip=9,
+            src_port=np.arange(port, port + n),
+            dst_port=53,
+            provenance=Provenance("test", malicious, "udp_flood" if malicious else None),
+        )
+        port += n
+        chunks.append((batch, np.array(times)))
+    return chunks
+
+
+class TestLiveMatchesOffline:
+    @settings(max_examples=50, deadline=None)
+    @given(live_stream(), st.sampled_from([1.0, 0.5]))
+    def test_process_matches_live_feed(self, chunks, window_seconds):
+        """``process`` on the recorded capture scores the same windows as
+        the live tap fed the same frames and trains, then ``finish``."""
+        live = RealTimeIds(PortParity(), "m", window_seconds=window_seconds)
+        probe = PacketProbe()
+        for batch, times in chunks:
+            if len(batch) == 1:
+                packet = batch.packet(0)
+                live(packet, float(times[0]))
+                probe(packet, float(times[0]))
+            else:
+                live.observe_batch(batch, times)
+                probe.observe_batch(batch, times)
+        live_report = live.finish()
+        offline = RealTimeIds(PortParity(), "m", window_seconds=window_seconds)
+        offline_report = offline.process(RecordBatch.from_columns(probe.drain_columns()))
+        assert live_report.windows == offline_report.windows
+        assert live.records_reordered == live.records_dropped_late == 0
 
 
 class TestRealTimeIds:
@@ -166,7 +227,7 @@ class TestRealTimeIds:
 
         extractor = FeatureExtractor()
         stream = make_stream(3)
-        X, _, _ = extractor.transform(RecordBatch.from_records(stream))
+        X, _, _ = extractor.transform(stream)
         scaler = StandardScaler().fit(X)
         ids = RealTimeIds(RequireScaledModel(), "m", extractor=extractor, scaler=scaler)
         report = ids.process(stream)
@@ -180,7 +241,7 @@ class TestFinishOutageAccounting:
         """Zero packets for the whole run must produce degraded verdicts
         covering [0, until), not an empty report."""
         ids = RealTimeIds(ConstantModel(0), "m")
-        report = ids.process([], until=5.0)
+        report = ids.process(batch(), until=5.0)
         assert report.n_windows == 5
         assert [w.window_index for w in report.windows] == [0, 1, 2, 3, 4]
         assert all(w.is_degraded and w.n_packets == 0 for w in report.windows)
@@ -190,26 +251,26 @@ class TestFinishOutageAccounting:
         """until=9.5 with packets only in window 0: windows 1..9 were
         live (window 9 partially) and all need verdicts."""
         ids = RealTimeIds(ConstantModel(0), "m")
-        report = ids.process([record(0.5)], until=9.5)
+        report = ids.process(batch(record(0.5)), until=9.5)
         assert [w.window_index for w in report.windows] == list(range(10))
         assert report.windows[9].is_degraded
 
     def test_until_exactly_on_boundary(self):
         """until=10.0: windows 0..9 only — no phantom window 10."""
         ids = RealTimeIds(ConstantModel(0), "m")
-        report = ids.process([record(0.5)], until=10.0)
+        report = ids.process(batch(record(0.5)), until=10.0)
         assert [w.window_index for w in report.windows] == list(range(10))
 
     def test_until_just_above_boundary_is_robust(self):
         """A float hair above the boundary must not conjure an extra
         empty window."""
         ids = RealTimeIds(ConstantModel(0), "m")
-        report = ids.process([record(0.5)], until=10.0 + 1e-12)
+        report = ids.process(batch(record(0.5)), until=10.0 + 1e-12)
         assert [w.window_index for w in report.windows] == list(range(10))
 
     def test_until_just_below_boundary(self):
         ids = RealTimeIds(ConstantModel(0), "m")
-        report = ids.process([record(0.5)], until=9.999)
+        report = ids.process(batch(record(0.5)), until=9.999)
         assert [w.window_index for w in report.windows] == list(range(10))
 
     def test_until_before_last_seen_window_adds_nothing(self):
@@ -219,13 +280,13 @@ class TestFinishOutageAccounting:
 
     def test_fractional_window_seconds(self):
         ids = RealTimeIds(ConstantModel(0), "m", window_seconds=0.5)
-        report = ids.process([record(0.1)], until=1.25)
+        report = ids.process(batch(record(0.1)), until=1.25)
         # Windows: [0, .5) seen, [.5, 1) and [1, 1.25) outages.
         assert [w.window_index for w in report.windows] == [0, 1, 2]
 
     def test_blackout_without_until_stays_empty(self):
         ids = RealTimeIds(ConstantModel(0), "m")
-        report = ids.process([])
+        report = ids.process(batch())
         assert report.n_windows == 0
 
     def test_reorder_counters_exposed(self):

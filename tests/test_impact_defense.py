@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.features import RecordBatch
 from repro.ids import BlocklistFilter, MitigatingIds, RealTimeIds, TokenBucket
 from repro.sim.packet import PROTO_TCP, PROTO_UDP, TcpFlags
 from repro.sim.tracing import PacketRecord
@@ -133,7 +134,9 @@ class TestBlocklistFilter:
         records = [record(0.1 * i, src=111) for i in range(20)]
         records += [record(0.1 * i, src=222) for i in range(3)]  # below threshold
         predictions = np.ones(len(records), dtype=int)
-        blocked = filt.apply_window_verdict(records, predictions, min_flagged=10)
+        blocked = filt.apply_window_verdict(
+            RecordBatch.from_records(records), predictions, min_flagged=10
+        )
         assert blocked == 1
         assert 111 in filt.blocked_until
         assert 222 not in filt.blocked_until
@@ -142,13 +145,15 @@ class TestBlocklistFilter:
         filt = BlocklistFilter(testbed.tserver.node)
         self_ip = testbed.tserver.node.address.value
         records = [record(0.1 * i, src=self_ip) for i in range(20)]
-        filt.apply_window_verdict(records, np.ones(20, dtype=int))
+        filt.apply_window_verdict(RecordBatch.from_records(records), np.ones(20, dtype=int))
         assert self_ip not in filt.blocked_until
 
     def test_misaligned_verdict_rejected(self, testbed):
         filt = BlocklistFilter(testbed.tserver.node)
         with pytest.raises(ValueError):
-            filt.apply_window_verdict([record(0, 1)], np.ones(2, dtype=int))
+            filt.apply_window_verdict(
+                RecordBatch.from_records([record(0, 1)]), np.ones(2, dtype=int)
+            )
 
     def test_blocks_expire(self, testbed):
         filt = BlocklistFilter(testbed.tserver.node, block_seconds=5.0)
@@ -195,6 +200,6 @@ class TestMitigatingIds:
         ids = RealTimeIds(FlagEverything(), "flagger")
         mitigating = MitigatingIds(ids, filt)
         records = [record(i * 0.05, src=777 + (i % 2)) for i in range(60)]
-        ids.process(records)
+        ids.process(RecordBatch.from_records(records))
         assert mitigating.blocks_issued >= 1
         assert filt.blocked_until

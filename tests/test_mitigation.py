@@ -12,6 +12,7 @@ import pytest
 
 from repro.containers.orchestrator import SupervisorEvent
 from repro.faults.injector import FaultEvent
+from repro.features import RecordBatch
 from repro.ids import (
     BlocklistFilter,
     MitigationController,
@@ -452,9 +453,12 @@ class TestControllerVerdicts:
             testbed, FlagEverything(), min_flagged=10, upstream_after=2
         )
         base = testbed.sim.now
-        ids.monitor.replay([record(base + i * 0.05, src=777) for i in range(20)])
-        ids.monitor.replay([record(base + 1.0 + i * 0.05, src=777) for i in range(20)])
-        ids.finish()
+        ids.process(
+            RecordBatch.from_records(
+                [record(base + i * 0.05, src=777) for i in range(20)]
+                + [record(base + 1.0 + i * 0.05, src=777) for i in range(20)]
+            )
+        )
         actions = [e.action for e in controller.events]
         assert "block" in actions
         assert "escalate" in actions
@@ -466,7 +470,7 @@ class TestControllerVerdicts:
     def test_below_threshold_sources_not_blocked(self, testbed):
         controller, ids = make_controller(testbed, FlagEverything(), min_flagged=10)
         base = testbed.sim.now
-        ids.process([record(base + i * 0.05, src=888) for i in range(5)])
+        ids.process(RecordBatch.from_records([record(base + i * 0.05, src=888) for i in range(5)]))
         assert controller.blocks_issued == 0
         assert not controller.filter.blocked_until
 
@@ -476,7 +480,9 @@ class TestControllerVerdicts:
         controller.filter.block(src, testbed.sim.now + 60.0)
         controller.blocked_ever.add(src)
         base = testbed.sim.now
-        ids.process([record(base + i * 0.05, src=src, label=0) for i in range(20)])
+        ids.process(
+            RecordBatch.from_records([record(base + i * 0.05, src=src, label=0) for i in range(20)])
+        )
         assert controller.unblocks == 1
         assert src not in controller.filter.blocked_until
         assert [e.action for e in controller.events].count("unblock") == 1
@@ -485,7 +491,7 @@ class TestControllerVerdicts:
         controller, ids = make_controller(testbed, FlagEverything(), mode="monitor")
         assert controller.filter is None and controller.upstream is None
         base = testbed.sim.now
-        ids.process([record(base + i * 0.05, src=777) for i in range(20)])
+        ids.process(RecordBatch.from_records([record(base + i * 0.05, src=777) for i in range(20)]))
         assert controller.blocks_issued == 0
         # it still *observes*: the verdict event fires, and ground truth
         # accumulates for collateral accounting

@@ -131,6 +131,7 @@ EXPECTED_TRAIN_METHODS = {
     ("UpstreamFilter", "should_drop", "should_drop_batch"),
     ("_LiveTapRx", "__call__", "observe_batch"),
     ("_FrameTap", "__call__", "observe_batch"),
+    ("RealTimeIds", "__call__", "observe_batch"),
 }
 
 
@@ -237,6 +238,7 @@ class TestEmptyBatchIsNoOp:
             ("UpstreamFilter", "should_drop_batch"),
             ("_LiveTapRx", "observe_batch"),
             ("_FrameTap", "observe_batch"),
+            ("RealTimeIds", "observe_batch"),
         }
         discovered = {(c, b) for c, _, b in _discovered_train_methods()}
         assert discovered == covered
@@ -295,12 +297,14 @@ class TestEmptyBatchIsNoOp:
         tap.observe_batch(_empty_tcp(), np.zeros(0))
         assert monitor._rx_bytes_total == 0.0
 
+        from repro.ids import RealTimeIds
         from repro.testbed.builder import _LiveTapRx
 
-        probe = PacketProbe()
-        live = _LiveTapRx(probe, Simulator())
+        ids = RealTimeIds(model=None, model_name="m")
+        live = _LiveTapRx(ids, Simulator())
         live.observe_batch(_empty_tcp(), np.zeros(0))
-        assert probe.count == 0
+        ids.observe_batch(_empty_udp(), np.zeros(0))
+        assert ids.finish().n_windows == 0
 
 
 # ----------------------------------------------------------------------

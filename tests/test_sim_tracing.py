@@ -69,14 +69,6 @@ class TestPacketRecord:
 
 
 class TestProbe:
-    def test_sink_subscription_streams_records(self):
-        probe = PacketProbe()
-        seen = []
-        probe.subscribe(seen.append)
-        probe(make_packet(), 1.0)
-        probe(make_packet(), 2.0)
-        assert [r.timestamp for r in seen] == [1.0, 2.0]
-
     def test_keep_records_false_still_counts(self):
         probe = PacketProbe(keep_records=False)
         probe(make_packet(), 1.0)
