@@ -168,7 +168,7 @@ class BlocklistFilter:
             n = len(batch)
             if n == 0:
                 return
-            flags = int(batch.flags) if batch.protocol == PROTO_TCP else 0
+            flags = batch.flags if batch.protocol == PROTO_TCP else 0
             bare_syn = bool(flags & 0x02) and not bool(flags & 0x10)
             if not self.blocked_until and not bare_syn:
                 # Nothing blocked and no SYNs: every frame would pass.

@@ -30,6 +30,10 @@ if TYPE_CHECKING:
 #: Probe callback: (packet, rx_time) for every frame delivered on the channel.
 ProbeFn = Callable[[Packet, float], None]
 
+#: The per-frame paths compare MACs by ``MacAddress.value``: an ``int``
+#: comparison runs in C, the dataclass ``__eq__``/``__hash__`` in Python.
+_BROADCAST = BROADCAST_MAC.value
+
 
 class TrafficFilter:
     """Interface for a channel-tier ACL (upstream mitigation).
@@ -73,7 +77,8 @@ class CsmaChannel:
         self.data_rate = parse_rate(data_rate)
         self.delay = parse_time(delay)
         self._devices: list[CsmaNetDevice] = []
-        self._by_mac: dict[MacAddress, CsmaNetDevice] = {}
+        #: Attached devices keyed by ``MacAddress.value``.
+        self._by_mac: dict[int, CsmaNetDevice] = {}
         self._promiscuous: list[CsmaNetDevice] = []
         self._busy = False
         self._waiting: list[CsmaNetDevice] = []
@@ -89,8 +94,9 @@ class CsmaChannel:
         #: is delivered, impaired, or still in flight (sanitizer invariant).
         self.frames_dequeued = 0
         self.frames_in_flight = 0
-        #: ARP-substitute resolution cache (cleared on any topology change).
-        self._resolve_cache: dict[Ipv4Address, MacAddress | None] = {}
+        #: ARP-substitute resolution cache keyed by ``Ipv4Address.value``
+        #: (cleared on any topology change).
+        self._resolve_cache: dict[int, MacAddress | None] = {}
         ctx = obs.current()
         self._obs_trains = ctx.registry.counter("channel.trains")
         self._obs_train_frames = ctx.registry.counter("channel.train_frames")
@@ -101,7 +107,7 @@ class CsmaChannel:
         """Register ``device`` on the medium."""
         if device not in self._devices:
             self._devices.append(device)
-        self._by_mac[device.mac] = device
+        self._by_mac[device.mac.value] = device
         device.attached = True
         self._resolve_cache.clear()
         self.update_promiscuous(device)
@@ -110,7 +116,7 @@ class CsmaChannel:
         """Remove ``device`` (device churn: an IoT node leaving the LAN)."""
         if device in self._devices:
             self._devices.remove(device)
-            self._by_mac.pop(device.mac, None)
+            self._by_mac.pop(device.mac.value, None)
         if device in self._waiting:
             self._waiting.remove(device)
         if device in self._promiscuous:
@@ -151,7 +157,7 @@ class CsmaChannel:
         space repeatedly) are cached until the topology changes.
         """
         try:
-            return self._resolve_cache[address]
+            return self._resolve_cache[address.value]
         except KeyError:
             pass
         mac: MacAddress | None = None
@@ -159,7 +165,7 @@ class CsmaChannel:
             if device.node is not None and device.node.owns_address(address):
                 mac = device.mac
                 break
-        self._resolve_cache[address] = mac
+        self._resolve_cache[address.value] = mac
         return mac
 
     def invalidate_resolve_cache(self) -> None:
@@ -287,12 +293,13 @@ class CsmaChannel:
         for probe in self._probes:
             probe(frame, self.sim.now)
         assert frame.eth is not None
-        if frame.eth.dst == BROADCAST_MAC:
+        dst = frame.eth.dst.value
+        if dst == _BROADCAST:
             for device in list(self._devices):
                 if device is not sender:
                     device.receive(frame)
             return
-        target = self._by_mac.get(frame.eth.dst)
+        target = self._by_mac.get(dst)
         if target is not None and target is not sender:
             target.receive(frame)
         for device in list(self._promiscuous):
@@ -316,12 +323,14 @@ class CsmaChannel:
             else:
                 for i in range(n):
                     probe(batch.packet(i), float(times[i]))
-        if batch.dst_mac == BROADCAST_MAC:
+        assert batch.dst_mac is not None
+        dst = batch.dst_mac.value
+        if dst == _BROADCAST:
             for device in list(self._devices):
                 if device is not sender:
                     device.receive_batch(batch, times)
             return
-        target = self._by_mac.get(batch.dst_mac)
+        target = self._by_mac.get(dst)
         if target is not None and target is not sender:
             target.receive_batch(batch, times)
         for device in list(self._promiscuous):
@@ -405,7 +414,8 @@ class CsmaNetDevice:
     def receive(self, frame: Packet) -> None:
         """Channel delivers a frame; filter by MAC unless promiscuous."""
         assert frame.eth is not None
-        is_mine = frame.eth.dst in (self.mac, BROADCAST_MAC)
+        dst = frame.eth.dst.value
+        is_mine = dst == self.mac.value or dst == _BROADCAST
         if not is_mine and not self.promiscuous:
             return
         self.rx_count += 1
@@ -416,7 +426,9 @@ class CsmaNetDevice:
 
     def receive_batch(self, batch: PacketBatch, times: np.ndarray) -> None:
         """Channel delivers a train; filter by MAC unless promiscuous."""
-        is_mine = batch.dst_mac in (self.mac, BROADCAST_MAC)
+        assert batch.dst_mac is not None
+        dst = batch.dst_mac.value
+        is_mine = dst == self.mac.value or dst == _BROADCAST
         if not is_mine and not self.promiscuous:
             return
         n = len(batch)

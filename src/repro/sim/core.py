@@ -25,8 +25,14 @@ if TYPE_CHECKING:
     from repro.analysis.sanitizers import Sanitizer
 
 
+#: Event times must be finite: one event at +inf would set ``now`` to inf
+#: and every later ``schedule`` would land there too.
+_INF = float("inf")
+
+
 class SimulationError(RuntimeError):
-    """Raised on kernel misuse (negative delays, scheduling in the past)."""
+    """Raised on kernel misuse (negative delays, scheduling in the past,
+    non-finite times)."""
 
 
 @dataclass(eq=False, slots=True)
@@ -289,7 +295,18 @@ class Simulator:
             raise SimulationError(
                 f"delay must be a non-negative number of seconds, got {delay}"
             )
-        return self.schedule_abs(self._now + delay, callback, *args, priority=priority)
+        # The push is inlined rather than delegated to schedule_abs: this
+        # is the kernel's busiest entry point.  `now + delay >= now` holds
+        # for any delay that passed the check above, so only the finite
+        # check remains.
+        when = self._now + delay
+        if when == _INF:
+            raise SimulationError(f"cannot schedule at t={when}: times must be finite")
+        seq = next(self._seq)
+        event = Event(when, priority, seq, callback, args, False, self, True)
+        heapq.heappush(self._heap, (when, priority, seq, event))
+        self._obs_heap_depth.set(len(self._heap))
+        return event
 
     def schedule_abs(
         self,
@@ -304,8 +321,10 @@ class Simulator:
                 f"cannot schedule at t={when}: not a time at or after the "
                 f"current time t={self._now}"
             )
+        if when == _INF:  # -inf already failed the check above
+            raise SimulationError(f"cannot schedule at t={when}: times must be finite")
         seq = next(self._seq)
-        event = Event(when, priority, seq, callback, args, _sim=self, _in_heap=True)
+        event = Event(when, priority, seq, callback, args, False, self, True)
         heapq.heappush(self._heap, (when, priority, seq, event))
         self._obs_heap_depth.set(len(self._heap))
         return event
@@ -363,6 +382,10 @@ class Simulator:
                 f"cannot schedule at t={float(arr.min())}: not a time at or "
                 f"after the current time t={self._now}"
             )
+        if float(arr.max()) == _INF:
+            raise SimulationError(
+                f"cannot schedule at t={float(arr.max())}: times must be finite"
+            )
         if args_seq is not None and len(args_seq) != arr.size:
             raise SimulationError(
                 f"args_seq has {len(args_seq)} entries for {arr.size} times"
@@ -370,12 +393,12 @@ class Simulator:
         seq = self._seq
         if args_seq is None:
             events = [
-                Event(t, priority, next(seq), callback, (), _sim=self, _in_heap=True)
+                Event(t, priority, next(seq), callback, (), False, self, True)
                 for t in arr.tolist()
             ]
         else:
             events = [
-                Event(t, priority, next(seq), callback, tuple(a), _sim=self, _in_heap=True)
+                Event(t, priority, next(seq), callback, tuple(a), False, self, True)
                 for t, a in zip(arr.tolist(), args_seq)
             ]
         entries = [(ev.time, priority, ev.seq, ev) for ev in events]
@@ -409,9 +432,13 @@ class Simulator:
         the current time); see :class:`PeriodicEvent`.  The first tick is at
         ``t0 + interval``.  Cancel via the returned handle.
         """
-        if not interval > 0:
-            raise SimulationError(f"interval must be positive, got {interval}")
+        if not 0 < interval < _INF:
+            raise SimulationError(
+                f"interval must be positive and finite, got {interval}"
+            )
         anchor = self._now if t0 is None else t0
+        if not abs(anchor) < _INF:
+            raise SimulationError(f"t0 must be a finite time, got {t0}")
         return PeriodicEvent(self, interval, callback, args, priority, anchor)
 
     def run(self, until: float | None = None) -> None:

@@ -16,13 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.address import ANY_ADDRESS, Ipv4Address, Ipv4Network, MacAddress
+from repro.sim.address import (
+    ANY_ADDRESS,
+    BROADCAST_MAC,
+    Ipv4Address,
+    Ipv4Network,
+    MacAddress,
+)
 from repro.sim.channel import CsmaChannel, CsmaNetDevice
 from repro.sim.core import Simulator
 from repro.sim.packet import (
     PROTO_TCP,
     PROTO_UDP,
     UNRESOLVED_MARKER,
+    Ipv4Header,
     Packet,
     PacketBatch,
 )
@@ -158,8 +165,6 @@ class Node:
             self.packets_unroutable += 1
             return False
         if next_hop == iface.network.broadcast:
-            from repro.sim.address import BROADCAST_MAC
-
             dst_mac: MacAddress | None = BROADCAST_MAC
         else:
             dst_mac = iface.device.channel.resolve(next_hop)
@@ -168,8 +173,6 @@ class Node:
             # a real scan (switches flood unknown unicast), so transmit it to
             # nobody rather than silently dropping — scanners probing dark
             # address space must still generate observable traffic.
-            from repro.sim.address import BROADCAST_MAC
-
             dst_mac = BROADCAST_MAC
             packet = _mark_unresolved(packet)
         self.packets_sent += 1
@@ -200,14 +203,10 @@ class Node:
                 continue
             unresolved = False
             if next_hop == iface.network.broadcast:
-                from repro.sim.address import BROADCAST_MAC
-
                 dst_mac: MacAddress | None = BROADCAST_MAC
             else:
                 dst_mac = iface.device.channel.resolve(next_hop)
             if dst_mac is None:
-                from repro.sim.address import BROADCAST_MAC
-
                 dst_mac = BROADCAST_MAC
                 unresolved = True
             self.packets_sent += len(sub)
@@ -257,12 +256,18 @@ class Node:
             return
         if getattr(frame, "app_data", None) == UNRESOLVED_MARKER:
             return
-        dst = frame.ip.dst
-        local = self.owns_address(dst)
-        broadcast = any(
-            dst in (iface.network.broadcast, ANY_ADDRESS) for iface in self.interfaces
-        )
-        if not local and not broadcast:
+        # Ours if some interface holds the destination, or it is that
+        # interface's subnet broadcast or the unspecified address.  Read
+        # as ints: this runs once per delivered frame.
+        dst = frame.ip.dst.value
+        for iface in self.interfaces:
+            if (
+                dst == iface.address.value
+                or dst == iface.network.broadcast.value
+                or dst == ANY_ADDRESS.value
+            ):
+                break
+        else:
             if self.is_router:
                 self._forward(frame)
             return
@@ -324,10 +329,15 @@ class Node:
         if frame.ip.ttl <= 1:
             self.ttl_expired += 1
             return
-        from dataclasses import replace
-
-        decremented = replace(
-            frame, ip=replace(frame.ip, ttl=frame.ip.ttl - 1), eth=None
+        ip = frame.ip
+        decremented = Packet(
+            None,
+            Ipv4Header(
+                ip.src, ip.dst, ip.protocol, ip.ttl - 1, ip.identification,
+                ip.total_length,
+            ),
+            frame.tcp, frame.udp, frame.payload, frame.payload_len,
+            frame.provenance, frame.app_data,
         )
         self.packets_forwarded += 1
         self.send_ipv4(decremented)
@@ -345,9 +355,10 @@ class Node:
 
 def _mark_unresolved(packet: Packet) -> Packet:
     """Tag a frame destined to a dead address so no stack consumes it."""
-    from dataclasses import replace
-
-    return replace(packet, app_data=UNRESOLVED_MARKER)
+    return Packet(
+        packet.eth, packet.ip, packet.tcp, packet.udp, packet.payload,
+        packet.payload_len, packet.provenance, UNRESOLVED_MARKER,
+    )
 
 
 def connect_to_lan(

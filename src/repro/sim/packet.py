@@ -15,9 +15,8 @@ paper labels traffic by knowing which container emitted it.
 
 from __future__ import annotations
 
-import enum
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -34,8 +33,14 @@ TCP_HEADER_LEN = 20
 UDP_HEADER_LEN = 8
 
 
-class TcpFlags(enum.IntFlag):
-    """TCP control flags (subset used by the testbed and the IDS features)."""
+class TcpFlags:
+    """TCP control flag bits (subset used by the testbed and the IDS features).
+
+    Plain ``int`` constants, not an ``enum.IntFlag``: ``TcpHeader.flags``,
+    ``PacketBatch.flags`` and every capture column hold the flags byte as
+    an ``int`` (``TcpFlags.SYN | TcpFlags.ACK`` is ``18``), so a flag test
+    on the per-frame path is one C-level ``int &``.
+    """
 
     FIN = 0x01
     SYN = 0x02
@@ -52,8 +57,6 @@ class EthernetHeader:
     src: MacAddress
     dst: MacAddress
     ethertype: int = ETHERTYPE_IPV4
-
-    size = ETHERNET_HEADER_LEN
 
     def to_bytes(self) -> bytes:
         return struct.pack(
@@ -83,8 +86,6 @@ class Ipv4Header:
     ttl: int = 64
     identification: int = 0
     total_length: int = 0  # filled by serialization when zero
-
-    size = IPV4_HEADER_LEN
 
     def to_bytes(self, payload_len: int = 0) -> bytes:
         total = self.total_length or (IPV4_HEADER_LEN + payload_len)
@@ -127,10 +128,8 @@ class TcpHeader:
     dst_port: int
     seq: int = 0
     ack: int = 0
-    flags: TcpFlags = TcpFlags(0)
+    flags: int = 0
     window: int = 65535
-
-    size = TCP_HEADER_LEN
 
     def to_bytes(self) -> bytes:
         return struct.pack(
@@ -140,7 +139,7 @@ class TcpHeader:
             self.seq & 0xFFFFFFFF,
             self.ack & 0xFFFFFFFF,
             (TCP_HEADER_LEN // 4) << 4,
-            int(self.flags),
+            self.flags,
             self.window,
             0,  # checksum (not computed; pcap tools tolerate zero)
             0,  # urgent pointer
@@ -151,7 +150,7 @@ class TcpHeader:
         (sport, dport, seq, ack, _off, flags, window, _ck, _urg) = struct.unpack(
             "!HHIIBBHHH", data[:TCP_HEADER_LEN]
         )
-        return cls(sport, dport, seq, ack, TcpFlags(flags), window)
+        return cls(sport, dport, seq, ack, flags, window)
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,8 +160,6 @@ class UdpHeader:
     src_port: int
     dst_port: int
     length: int = UDP_HEADER_LEN
-
-    size = UDP_HEADER_LEN
 
     def to_bytes(self) -> bytes:
         return struct.pack("!HHHH", self.src_port, self.dst_port, self.length, 0)
@@ -221,15 +218,25 @@ class Packet:
     @property
     def size(self) -> int:
         """Total on-wire size in bytes, headers included."""
-        size = self.data_len
-        for header in (self.eth, self.ip, self.tcp, self.udp):
-            if header is not None:
-                size += header.size
+        size = self.payload_len if self.payload_len is not None else len(self.payload)
+        if self.eth is not None:
+            size += ETHERNET_HEADER_LEN
+        if self.ip is not None:
+            size += IPV4_HEADER_LEN
+        if self.tcp is not None:
+            size += TCP_HEADER_LEN
+        if self.udp is not None:
+            size += UDP_HEADER_LEN
         return size
 
     def with_eth(self, eth: EthernetHeader) -> "Packet":
         """Return a copy with the Ethernet header replaced (L2 framing)."""
-        return replace(self, eth=eth)
+        # The constructor, not dataclasses.replace: this runs once per
+        # transmitted frame and replace() costs twice as much.
+        return Packet(
+            eth, self.ip, self.tcp, self.udp, self.payload, self.payload_len,
+            self.provenance, self.app_data,
+        )
 
     def to_bytes(self) -> bytes:
         """Serialize to real wire format (for pcap export)."""
@@ -237,7 +244,9 @@ class Packet:
         if self.tcp is not None:
             segment = self.tcp.to_bytes() + body
         elif self.udp is not None:
-            udp = replace(self.udp, length=UDP_HEADER_LEN + len(body))
+            udp = UdpHeader(
+                self.udp.src_port, self.udp.dst_port, UDP_HEADER_LEN + len(body)
+            )
             segment = udp.to_bytes() + body
         else:
             segment = body
@@ -328,7 +337,7 @@ class PacketBatch:
     payload_len: np.ndarray
     seq: np.ndarray | None = None
     ack: np.ndarray | None = None
-    flags: TcpFlags = TcpFlags(0)
+    flags: int = 0
     ttl: int = 64
     provenance: Provenance = BENIGN
     src_mac: MacAddress | None = None
@@ -351,7 +360,7 @@ class PacketBatch:
         dst_port: object,
         seq: object = 0,
         ack: object = 0,
-        flags: TcpFlags = TcpFlags(0),
+        flags: int = 0,
         payload_len: object = 0,
         ttl: int = 64,
         provenance: Provenance = BENIGN,

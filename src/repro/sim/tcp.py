@@ -73,7 +73,7 @@ class _SendItem:
     seq: int
     length: int
     payload: bytes
-    flags: TcpFlags
+    flags: int
     app_data: object | None
 
 
@@ -391,7 +391,7 @@ class TcpSocket:
         if total <= 0:
             total = max(total, 1)  # zero-length app messages still need a segment
         offset = 0
-        ack_psh = TcpFlags.ACK | TcpFlags.PSH  # hoisted: enum | is not free
+        ack_psh = TcpFlags.ACK | TcpFlags.PSH
         while offset < total:
             chunk = min(MSS, total - offset)
             literal = payload[offset : offset + chunk]
@@ -546,7 +546,7 @@ class TcpSocket:
             )
         )
 
-    def _send_flags(self, flags: TcpFlags, seq: int | None = None) -> None:
+    def _send_flags(self, flags: int, seq: int | None = None) -> None:
         assert self.remote_address is not None and self.remote_port is not None
         self.stack.send_segment(
             src_port=self.local_port,
@@ -1170,7 +1170,7 @@ class TcpStack:
         dst_port: int,
         seq: int,
         ack: int,
-        flags: TcpFlags,
+        flags: int,
         payload: bytes = b"",
         payload_len: int | None = None,
         app_data: object | None = None,

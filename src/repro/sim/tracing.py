@@ -88,7 +88,7 @@ def packet_fields(packet: Packet, timestamp: float) -> tuple:
     ip = packet.ip
     tcp = packet.tcp
     if tcp is not None:
-        src_port, dst_port, tcp_flags, seq = tcp.src_port, tcp.dst_port, int(tcp.flags), tcp.seq
+        src_port, dst_port, tcp_flags, seq = tcp.src_port, tcp.dst_port, tcp.flags, tcp.seq
     elif packet.udp is not None:
         src_port, dst_port, tcp_flags, seq = packet.udp.src_port, packet.udp.dst_port, 0, 0
     else:
@@ -126,7 +126,7 @@ def train_fields(batch: PacketBatch, times: np.ndarray) -> tuple[list, ...]:
         batch.src_port.tolist(),
         batch.dst_port.tolist(),
         batch.sizes.tolist(),
-        [int(batch.flags) if tcp else 0] * n,
+        [batch.flags if tcp else 0] * n,
         batch.seq.tolist() if (tcp and batch.seq is not None) else [0] * n,
         [1 if batch.provenance.malicious else 0] * n,
         [batch.provenance.attack] * n,

@@ -4,11 +4,12 @@ Three contracts:
 
 * the bytes of short testbed captures are pinned (``capture.csv``
   sha256 plus its ``DatasetSummary``), on the scalar and on the batch
-  data plane, and for the segmented urban smoke recipe whose floods
+  data plane, for the segmented urban smoke recipe whose floods
   reach every transport train-demux path (ACK and RST storms, SYN trains
-  past a full backlog, mixed-source and mixed-port trains), so a change
-  to how captures are stored or demultiplexed cannot silently change
-  what they hold;
+  past a full backlog, mixed-source and mixed-port trains), and for
+  ``paper-baseline`` on the scalar plane with all three floods under
+  the stock fault plan, so a change to how captures are stored, framed
+  or demultiplexed cannot silently change what they hold;
 * ``Testbed.capture`` → ``summary()``/``to_batch()`` → ``train_models``
   runs on columns only — no :class:`PacketRecord` row is built — and so
   does the real-time IDS, live on the testbed tap and offline in
@@ -106,6 +107,45 @@ def test_segmented_batch_capture_pinned(urban_smoke_capture, tmp_path):
     digest, summary = URBAN_SMOKE
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
     assert dataset.summary() == summary
+
+
+#: ``paper-baseline`` (the scalar plane) at seed 7, a 12 s
+#: ``training_schedule`` capture under ``default_fault_schedule(12.0)``.
+PAPER_UNDER_FAULTS = (
+    "7712bd443edfecffbc99abf5f47bf552b64df69faa12a505dcc5756ab2afca80",
+    DatasetSummary(
+        total=11996,
+        malicious=8588,
+        benign=3408,
+        by_attack={"c2": 46, "syn_flood": 2855, "ack_flood": 2687, "udp_flood": 3000},
+        duration=11.870452308781307,
+    ),
+)
+
+
+def test_scalar_capture_under_faults_pinned(tmp_path):
+    """All three floods on the scalar plane while the fault plan drops
+    frames on every link, partitions a device and kills one that restarts:
+    the ACK-flood RST storm, the UDP flood and the fault injector's
+    per-frame path, pinned together."""
+    scenario = get_scenario("paper-baseline", seed=7)
+    assert not scenario.batch_floods and not scenario.batch_benign
+    testbed = Testbed(scenario).build()
+    testbed.infect_all()
+    dataset = testbed.capture(
+        12.0,
+        scenario.training_schedule(12.0),
+        fault_plan=scenario.default_fault_schedule(12.0),
+    )
+    path = dataset.save(tmp_path / "capture.csv")
+    digest, summary = PAPER_UNDER_FAULTS
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert dataset.summary() == summary
+    # The paths this pin stands for ran: frames lost on the wire, one RST
+    # per ACK-flood segment, and the killed device restarted once.
+    assert testbed.fault_injector.frames_lost == 263
+    assert testbed.tserver.node.tcp.rst_sent == summary.by_attack["ack_flood"]
+    assert testbed.orchestrator.containers["dev-5"].restart_count == 1
 
 
 #: sha256 over ``compute_window_statistics(w).to_array().tobytes()`` of

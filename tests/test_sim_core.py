@@ -119,6 +119,53 @@ class TestNanTimesRejected:
         assert seen == ["now", "a", "b"]
 
 
+class TestInfiniteTimesRejected:
+    """An event at +inf would fire and set ``sim.now`` to inf; after that
+    every ``schedule_abs`` raises and every ``schedule`` lands at inf."""
+
+    INF = float("inf")
+
+    def test_schedule_rejects_infinite_delay(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="finite"):
+            sim.schedule(self.INF, lambda: None)
+        sim.schedule(1e308, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError, match="finite"):
+            sim.schedule(1e308, lambda: None)  # 1e308 + 1e308 overflows to inf
+        assert sim.pending_events == 0
+        assert sim.now == 1e308
+
+    def test_schedule_abs_rejects_infinite_time(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="finite"):
+            sim.schedule_abs(self.INF, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_abs(-self.INF, lambda: None)
+        assert sim.pending_events == 0
+
+    def test_schedule_batch_rejects_any_infinite_delay(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="finite"):
+            sim.schedule_batch([1.0, self.INF], lambda: None)
+        assert sim.pending_events == 0
+
+    def test_schedule_batch_abs_rejects_any_infinite_time(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="finite"):
+            sim.schedule_batch_abs([self.INF, 1.0], lambda: None)
+        assert sim.pending_events == 0
+
+    def test_schedule_periodic_rejects_infinite_interval_and_anchor(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="finite"):
+            sim.schedule_periodic(self.INF, lambda: None)
+        for t0 in (self.INF, -self.INF, float("nan")):
+            with pytest.raises(SimulationError, match="finite"):
+                sim.schedule_periodic(1.0, lambda: None, t0=t0)
+        assert sim.pending_events == 0
+
+
 def test_cancelled_event_does_not_run():
     sim = Simulator()
     seen = []

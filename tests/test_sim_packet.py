@@ -117,7 +117,7 @@ class TestWireFormat:
         flags=st.integers(0, 63),
     )
     def test_property_tcp_header_roundtrip(self, sport, dport, seq, ack, flags):
-        header = TcpHeader(sport, dport, seq, ack, TcpFlags(flags))
+        header = TcpHeader(sport, dport, seq, ack, flags)
         assert TcpHeader.from_bytes(header.to_bytes()) == header
 
     @given(payload=st.binary(max_size=200))

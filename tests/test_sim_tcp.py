@@ -6,8 +6,9 @@ import pytest
 
 from repro.sim import CsmaLan, PacketProbe, Simulator
 from repro.sim.address import Ipv4Address
-from repro.sim.packet import Provenance, TcpFlags
+from repro.sim.packet import PacketBatch, Provenance, TcpFlags, TcpHeader
 from repro.sim.tcp import TcpState, _seq_le, _seq_lt
+from repro.sim.tracing import PacketRecord, packet_fields, train_fields
 
 
 @pytest.fixture()
@@ -371,3 +372,70 @@ class TestSequenceArithmetic:
         assert _seq_le(7, 7)
         assert _seq_le(6, 7)
         assert not _seq_le(8, 7)
+
+
+#: Index of the TCP flags field in a capture row.
+FLAGS_FIELD = PacketRecord._fields.index("tcp_flags")
+
+
+class FlagTypeTap:
+    """A probe noting the type and value of every TCP flags field it sees."""
+
+    def __init__(self):
+        self.types = set()
+        self.values = set()
+        self.trains = 0
+
+    def __call__(self, frame, timestamp):
+        if frame.tcp is not None:
+            self.note(frame.tcp.flags)
+            self.note(packet_fields(frame, timestamp)[FLAGS_FIELD])
+
+    def observe_batch(self, batch, times):
+        self.trains += 1
+        self.note(batch.flags)
+        for value in train_fields(batch, times)[FLAGS_FIELD]:
+            self.note(value)
+
+    def note(self, value):
+        self.types.add(type(value))
+        self.values.add(value)
+
+
+class TestWireFlagsArePlainInts:
+    """TCP flags travel as plain ``int`` on every path, so the per-frame
+    flag tests stay C-level ``int &``: tens of nanoseconds, where an
+    ``enum.IntFlag`` ``&`` takes over a microsecond."""
+
+    @pytest.mark.parametrize("batch_segments", [False, True], ids=["scalar", "batch"])
+    def test_stack_puts_int_flags_on_the_wire(self, net, batch_segments):
+        sim, lan = net
+        server, client = lan.add_host("s"), lan.add_host("c")
+        for node in (server, client):
+            node.tcp.batch_segments = batch_segments
+        tap = lan.add_probe(FlagTypeTap())
+
+        def on_accept(sock):
+            sock.on_close = lambda s: s.close()
+
+        server.tcp.listen(80, on_accept)
+        csock = client.tcp.socket()
+        csock.connect(server.address, 80, lambda s: (s.send(length=20_000), s.close()))
+        stray = client.tcp.socket()
+        stray.connect(server.address, 9999)  # closed port: draws RST|ACK
+        sim.run(until=30.0)
+        assert tap.types == {int}
+        assert (tap.trains > 0) == batch_segments
+        SYN, ACK, FIN, RST, PSH = (
+            TcpFlags.SYN, TcpFlags.ACK, TcpFlags.FIN, TcpFlags.RST, TcpFlags.PSH
+        )
+        assert {SYN, SYN | ACK, ACK, ACK | PSH, FIN | ACK, RST | ACK} <= tap.values
+
+    def test_parsed_and_batch_flags_are_ints(self):
+        header = TcpHeader.from_bytes(TcpHeader(1, 2, flags=TcpFlags.SYN).to_bytes())
+        assert type(header.flags) is int
+        assert type(TcpHeader(1, 2).flags) is int
+        columns = dict(src_ip=1, dst_ip=2, src_port=3, dst_port=4)
+        assert type(PacketBatch.tcp_batch(2, **columns).flags) is int
+        batch = PacketBatch.tcp_batch(2, flags=TcpFlags.ACK, **columns)
+        assert type(batch.packet(0).tcp.flags) is int

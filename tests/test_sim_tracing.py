@@ -84,7 +84,7 @@ class TestProbe:
 class TestPcap:
     def test_roundtrip_preserves_headers_and_timestamps(self, tmp_path):
         path = tmp_path / "trace.pcap"
-        packets = [make_packet(flags=TcpFlags(f)) for f in (2, 18, 16)]
+        packets = [make_packet(flags=f) for f in (2, 18, 16)]
         with PcapWriter(path) as writer:
             for i, packet in enumerate(packets):
                 writer.write(packet, 10.0 + i * 0.125)
