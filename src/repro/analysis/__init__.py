@@ -11,10 +11,9 @@ schedule.  This subpackage defends that property on two fronts:
   ``id()``-based tie-breaking, with ``# repro: lint-ok[rule-id]``
   suppressions and a committed baseline (:mod:`repro.analysis.baseline`);
 * **parity** — :mod:`repro.analysis.parity` / :mod:`repro.analysis.effects`
-  implement the dual-path parity checker (``ddoshield check-parity``):
-  AST effect summaries compare each scalar method against its ``_batch``
-  twin (BAT001–BAT004) and an event-commutativity analyzer flags
-  same-bucket handlers whose state writes do not commute (ORD002);
+  implement the event-commutativity analyzer (``ddoshield
+  check-parity``): AST effect summaries flag same-bucket handlers whose
+  state writes do not commute (ORD002);
 * **dynamic** — :mod:`repro.analysis.sanitizers` provides opt-in runtime
   invariant checkers (``Simulator(sanitize=True)`` / ``REPRO_SANITIZE=1``)
   for event-time monotonicity, queue/channel packet conservation,
@@ -34,7 +33,6 @@ from repro.analysis.parity import (
     DEFAULT_PARITY_PATHS,
     PARITY_RULE_IDS,
     check_parity_paths,
-    discover_pairs,
 )
 from repro.analysis.report import Finding, LintReport, format_json, format_text
 from repro.analysis.rules import RULES, Rule, iter_rules, rule
@@ -71,7 +69,6 @@ __all__ = [
     "check_parity_paths",
     "collect_class_effects",
     "diff_findings",
-    "discover_pairs",
     "format_json",
     "format_text",
     "iter_rules",

@@ -1,9 +1,9 @@
-"""Per-method effect summaries for the batch/scalar parity checker.
+"""Per-method effect summaries for the event-commutativity analyzer.
 
-A dual-path class (PR 7's scalar ``Packet`` vs vectorized ``PacketBatch``
-split) stays trustworthy only while both twins of each method perform
-the *same* state transitions.  This module extracts a conservative,
-purely syntactic summary of what one method does to its instance:
+Two event handlers that run at the same ``(time, priority)`` commute
+only if neither order-sensitively assigns state the other touches
+(rule ORD002).  This module extracts a conservative, purely syntactic
+summary of what one method does to its instance:
 
 * ``writes``   — dotted ``self`` attribute paths assigned, aug-assigned,
   ``del``-ed or mutated in place (``self.items.append(...)``);
@@ -19,9 +19,8 @@ purely syntactic summary of what one method does to its instance:
 Subscripts are collapsed (``self.blocked_until[src]`` reads/writes
 ``blocked_until``) and local variables are ignored — the summary is a
 set-level contract, not a dataflow analysis.  That is exactly the
-granularity the parity rules need: "the scalar twin bumps ``dropped``
-and the batch twin never touches it" is a real drift regardless of how
-the value flows.
+granularity ORD002 needs: "this handler assigns ``_busy`` and its
+bucket mate reads it" is a real race regardless of how the value flows.
 """
 
 from __future__ import annotations
@@ -213,18 +212,3 @@ def collect_class_effects(tree: ast.Module) -> list[ClassEffects]:
         result.append(info)
     return result
 
-
-def normalize_batch_calls(calls: frozenset[str]) -> frozenset[str]:
-    """Strip the ``_batch`` suffix from call-path terminals.
-
-    ``node.send_ipv4_batch`` and ``node.send_ipv4`` are the same
-    collaborator contract on the two paths; normalising lets the parity
-    rule compare call sets across twins.
-    """
-    normalized = set()
-    for path in sorted(calls):
-        head, _, terminal = path.rpartition(".")
-        if terminal.endswith("_batch"):
-            terminal = terminal[: -len("_batch")]
-        normalized.add(f"{head}.{terminal}" if head else terminal)
-    return frozenset(normalized)

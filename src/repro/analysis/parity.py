@@ -1,27 +1,5 @@
-"""Batch/scalar parity checker + event-commutativity analyzer.
+"""Event-commutativity analyzer (``ddoshield check-parity``).
 
-PR 7 split every hot-path component into a scalar (``Packet``) and a
-vectorized (``PacketBatch``) implementation.  The paper's Table I/II
-reproducibility rests on the two paths staying *bit-identical*; this
-module machine-checks the contract statically (``ddoshield
-check-parity``):
-
-``BAT001`` (error)
-    The two twins of a dual-path pair perform different state
-    transitions — one writes an instance attribute / bumps a counter
-    the other never touches (transitively through sibling methods).
-``BAT002`` (warning)
-    A batch method loops calling its scalar twin per element instead of
-    vectorizing — correct, but it silently gives back the batch win.
-``BAT003`` (warning)
-    A class reachable from the flood path defines a scalar contract
-    method (``receive``/``enqueue``/``observe``/``should_drop``/
-    ``allow``) with no batch twin, so trains must be materialised to
-    traverse it.
-``BAT004`` (warning)
-    A ``*_batch`` method mutates instance state without an empty-batch
-    early return; every batch method must accept ``len(batch) == 0`` as
-    a structural no-op.
 ``ORD002`` (warning)
     An event handler order-sensitively assigns instance state that
     bucket-mate handlers also touch, so equal-``(time, priority)``
@@ -30,7 +8,7 @@ check-parity``):
     ``REPRO_SHUFFLE=<seed>``) which deterministically permutes
     same-bucket dispatch so any such race changes observable results.
 
-All five feed the shared rule registry (category ``"parity"``), the
+The rule feeds the shared rule registry (category ``"parity"``), the
 fingerprint baseline (``analysis/parity_baseline.json``) and inline
 ``# repro: lint-ok[...]`` suppressions.
 """
@@ -41,13 +19,7 @@ import ast
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from repro.analysis.effects import (
-    MUTATOR_METHODS,
-    ClassEffects,
-    FunctionNode,
-    collect_class_effects,
-    self_path,
-)
+from repro.analysis.effects import collect_class_effects, self_path
 from repro.analysis.report import Finding
 from repro.analysis.rules import _terminal_name, iter_rules, rule
 from repro.analysis.walker import (
@@ -58,41 +30,13 @@ from repro.analysis.walker import (
     run_rules,
 )
 
-#: Batch-method naming contracts: (scalar candidates, batch name).  A
-#: class defining both sides forms a dual-path pair.  ``__call__`` is an
-#: accepted scalar spelling of ``observe`` (probe taps are callables).
-PAIR_CONTRACTS: tuple[tuple[tuple[str, ...], str], ...] = (
-    (("receive",), "receive_batch"),
-    (("observe", "__call__"), "observe_batch"),
-    (("enqueue",), "enqueue_batch"),
-    (("should_drop",), "should_drop_batch"),
-    (("allow",), "take"),
-)
-
-#: Scalar contract methods BAT003 looks for on flood-reachable classes.
-#: ``__call__`` is deliberately absent — every callable would match.
-SCALAR_CONTRACTS: dict[str, str] = {
-    "receive": "receive_batch",
-    "observe": "observe_batch",
-    "enqueue": "enqueue_batch",
-    "should_drop": "should_drop_batch",
-    "allow": "take",
-}
-
-#: First-parameter names that mark a ``*_batch`` method as taking a
-#: packet train (vs e.g. ``schedule_batch(delays, …)``).
-BATCH_PARAM_NAMES = frozenset({"batch", "train"})
-
 #: Scheduling entry points whose second argument is an event callback.
-SCHEDULE_FNS = frozenset(
-    {"schedule", "schedule_abs", "schedule_batch", "schedule_batch_abs",
-     "schedule_periodic"}
-)
+SCHEDULE_FNS = frozenset({"schedule", "schedule_abs", "schedule_periodic"})
 
 #: Rule ids owned by this module (the ``check-parity`` command).
-PARITY_RULE_IDS = frozenset({"BAT001", "BAT002", "BAT003", "BAT004", "ORD002"})
+PARITY_RULE_IDS = frozenset({"ORD002"})
 
-#: Default scan roots: the dual-path surface named by the architecture.
+#: Default scan roots: the event-driven data plane.
 DEFAULT_PARITY_PATHS: tuple[str, ...] = (
     "src/repro/sim",
     "src/repro/ids",
@@ -100,232 +44,6 @@ DEFAULT_PARITY_PATHS: tuple[str, ...] = (
     "src/repro/botnet",
     "src/repro/apps",
 )
-
-
-def discover_pairs(
-    info: ClassEffects,
-) -> list[tuple[str, str]]:
-    """(scalar, batch) method-name pairs defined by one class.
-
-    Contract pairs come first; any further ``X``/``X_batch`` twins
-    (``send_segment``/``send_segment_batch``…) are discovered
-    generically so new dual-path methods are covered without touching
-    the contract table.
-    """
-    pairs: list[tuple[str, str]] = []
-    seen_batch: set[str] = set()
-    for scalar_names, batch_name in PAIR_CONTRACTS:
-        if batch_name not in info.methods:
-            continue
-        for scalar in scalar_names:
-            if scalar in info.methods:
-                pairs.append((scalar, batch_name))
-                seen_batch.add(batch_name)
-                break
-    for name in sorted(info.methods):
-        if not name.endswith("_batch") or name in seen_batch:
-            continue
-        scalar = name[: -len("_batch")]
-        if scalar and scalar in info.methods:
-            pairs.append((scalar, name))
-    return pairs
-
-
-def _batch_param(func: FunctionNode) -> str | None:
-    """The packet-train parameter of a batch method, or None."""
-    args = func.args.posonlyargs + func.args.args
-    if len(args) < 2:
-        return None
-    name = args[1].arg
-    return name if name in BATCH_PARAM_NAMES else None
-
-
-def scalar_twin_of(info: ClassEffects, batch_name: str) -> str | None:
-    """The scalar method ``batch_name`` is twinned with, if defined."""
-    for scalar_names, contract_batch in PAIR_CONTRACTS:
-        if contract_batch == batch_name:
-            for scalar in scalar_names:
-                if scalar in info.methods:
-                    return scalar
-    if batch_name.endswith("_batch"):
-        scalar = batch_name[: -len("_batch")]
-        if scalar and scalar in info.methods:
-            return scalar
-    return None
-
-
-# ----------------------------------------------------------------------
-# BAT001 — effect-set divergence between twins
-
-
-@rule(
-    "BAT001",
-    "error",
-    "the scalar and batch twins must perform the same state transitions; "
-    "port the missing update (or remove the extra one) so a train of n "
-    "packets leaves the instance exactly as n scalar calls would",
-    category="parity",
-)
-def batch_effect_divergence(ctx: "LintContext") -> Iterator[tuple[ast.AST, str]]:
-    """Dual-path pairs whose transitive write sets differ."""
-    for info in collect_class_effects(ctx.tree):
-        for scalar, batch in discover_pairs(info):
-            scalar_writes = info.closure(scalar).writes
-            batch_writes = info.closure(batch).writes
-            missing = sorted(scalar_writes - batch_writes)
-            extra = sorted(batch_writes - scalar_writes)
-            if not missing and not extra:
-                continue
-            detail = []
-            if missing:
-                detail.append(
-                    f"{scalar}() writes {missing} but {batch}() never does"
-                )
-            if extra:
-                detail.append(
-                    f"{batch}() writes {extra} but {scalar}() never does"
-                )
-            yield info.methods[batch], (
-                f"effect divergence in {info.name}.{scalar}/{batch}: "
-                + "; ".join(detail)
-            )
-
-
-# ----------------------------------------------------------------------
-# BAT002 — batch method degrades to a scalar loop
-
-
-@rule(
-    "BAT002",
-    "warning",
-    "looping the scalar twin re-materialises every packet and forfeits "
-    "the vectorized path; operate on the batch columns directly (a "
-    "deliberate fallback branch can be baselined with a justification)",
-    category="parity",
-)
-def batch_scalar_loop(ctx: "LintContext") -> Iterator[tuple[ast.AST, str]]:
-    """``for …: self.<scalar_twin>(…)`` inside a batch method."""
-    for info in collect_class_effects(ctx.tree):
-        for batch_name, func in sorted(info.methods.items()):
-            if not batch_name.endswith("_batch") and batch_name != "take":
-                continue
-            scalar = scalar_twin_of(info, batch_name)
-            if scalar is None or scalar == batch_name:
-                continue
-            for node in ast.walk(func):
-                if not isinstance(node, (ast.For, ast.While)):
-                    continue
-                for inner in ast.walk(node):
-                    if (
-                        isinstance(inner, ast.Call)
-                        and self_path(inner.func) == scalar
-                    ):
-                        yield inner, (
-                            f"{info.name}.{batch_name}() loops calling the "
-                            f"scalar twin {scalar}() per element"
-                        )
-                        break
-                else:
-                    continue
-                break
-
-
-# ----------------------------------------------------------------------
-# BAT004 — missing empty-batch early return
-
-
-def _mentions_emptiness(test: ast.AST, param: str, len_aliases: set[str]) -> bool:
-    for node in ast.walk(test):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "len"
-            and len(node.args) == 1
-            and isinstance(node.args[0], ast.Name)
-            and node.args[0].id == param
-        ):
-            return True
-        if isinstance(node, ast.Name) and node.id in len_aliases:
-            return True
-        if (
-            isinstance(node, ast.UnaryOp)
-            and isinstance(node.op, ast.Not)
-            and isinstance(node.operand, ast.Name)
-            and node.operand.id == param
-        ):
-            return True
-    return False
-
-
-@rule(
-    "BAT004",
-    "warning",
-    "a batch method must treat an empty train as a structural no-op; "
-    "add `if len(batch) == 0: return` (or equivalent) before touching "
-    "instance state",
-    category="parity",
-)
-def missing_empty_batch_guard(ctx: "LintContext") -> Iterator[tuple[ast.AST, str]]:
-    """``*_batch(self, batch, …)`` methods that mutate state unguarded."""
-    for info in collect_class_effects(ctx.tree):
-        for name, func in sorted(info.methods.items()):
-            if not name.endswith("_batch"):
-                continue
-            param = _batch_param(func)
-            if param is None:
-                continue
-            summary = info.direct[name]
-            if not summary.writes:
-                continue
-            len_aliases: set[str] = set()
-            guard_line: int | None = None
-            for node in ast.walk(func):
-                if isinstance(node, ast.Assign) and (
-                    isinstance(node.value, ast.Call)
-                    and isinstance(node.value.func, ast.Name)
-                    and node.value.func.id == "len"
-                    and len(node.value.args) == 1
-                    and isinstance(node.value.args[0], ast.Name)
-                    and node.value.args[0].id == param
-                ):
-                    len_aliases.update(
-                        t.id for t in node.targets if isinstance(t, ast.Name)
-                    )
-                elif isinstance(node, ast.If) and _mentions_emptiness(
-                    node.test, param, len_aliases
-                ):
-                    if any(isinstance(s, ast.Return) for s in ast.walk(node)):
-                        guard_line = (
-                            node.lineno
-                            if guard_line is None
-                            else min(guard_line, node.lineno)
-                        )
-            write_lines: list[int] = []
-            for node in ast.walk(func):
-                targets: list[ast.AST] = []
-                if isinstance(node, ast.Assign):
-                    targets = list(node.targets)
-                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                    targets = [node.target]
-                elif isinstance(node, ast.Delete):
-                    targets = list(node.targets)
-                elif isinstance(node, ast.Call):
-                    path = self_path(node.func)
-                    if path is not None and "." in path:
-                        method = path.rpartition(".")[2]
-                        if method in MUTATOR_METHODS:
-                            write_lines.append(node.lineno)
-                    continue
-                for target in targets:
-                    if self_path(target) is not None:
-                        write_lines.append(node.lineno)
-            if not write_lines:
-                continue
-            if guard_line is None or guard_line > min(write_lines):
-                yield func, (
-                    f"{info.name}.{name}() mutates instance state with no "
-                    f"empty-batch early return on {param!r}"
-                )
 
 
 # ----------------------------------------------------------------------
@@ -400,94 +118,6 @@ def bucket_commutativity(ctx: "LintContext") -> Iterator[tuple[ast.AST, str]]:
 
 
 # ----------------------------------------------------------------------
-# BAT003 — scalar-only classes reachable from the flood path
-# (cross-module: runs over all scanned files, not per module)
-
-
-def _referenced_names(cls_node: ast.ClassDef) -> set[str]:
-    names: set[str] = set()
-    for node in ast.walk(cls_node):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            # Quoted forward references ("CsmaChannel | None") are string
-            # constants; parse them as expressions to recover the names.
-            value = node.value.strip()
-            if value and len(value) < 200:
-                try:
-                    parsed = ast.parse(value, mode="eval")
-                except SyntaxError:
-                    continue
-                names.update(
-                    inner.id
-                    for inner in ast.walk(parsed)
-                    if isinstance(inner, ast.Name)
-                )
-    names.discard(cls_node.name)
-    return names
-
-
-def _flood_reachability(
-    contexts: Sequence[LintContext],
-) -> tuple[list[Finding], int]:
-    """The cross-module BAT003 pass over every scanned class."""
-    rule_entry = iter_rules(only=["BAT003"])[0]
-    classes: dict[str, tuple[LintContext, ast.ClassDef, ClassEffects]] = {}
-    refs: dict[str, set[str]] = {}
-    roots: set[str] = set()
-    for ctx in contexts:
-        for info in collect_class_effects(ctx.tree):
-            if info.name in classes:
-                continue  # first definition wins; names are unique in practice
-            classes[info.name] = (ctx, info.node, info)
-            refs[info.name] = _referenced_names(info.node)
-            if any(m.endswith("_batch") for m in info.methods):
-                roots.add(info.name)
-    reachable: set[str] = set()
-    referrer: dict[str, str] = {}
-    frontier = sorted(roots)
-    while frontier:
-        name = frontier.pop()
-        if name in reachable:
-            continue
-        reachable.add(name)
-        for target in sorted(refs.get(name, ())):
-            if target in classes and target not in reachable:
-                referrer.setdefault(target, name)
-                frontier.append(target)
-    findings: list[Finding] = []
-    suppressed = 0
-    for name in sorted(reachable):
-        ctx, cls_node, info = classes[name]
-        for scalar, batch in sorted(SCALAR_CONTRACTS.items()):
-            if scalar not in info.methods or batch in info.methods:
-                continue
-            line = info.methods[scalar].lineno
-            if ctx.is_suppressed("BAT003", line):
-                suppressed += 1
-                continue
-            via = referrer.get(name)
-            origin = f" (referenced by {via})" if via else ""
-            findings.append(
-                Finding(
-                    rule_id="BAT003",
-                    severity=rule_entry.severity,
-                    path=ctx.path,
-                    line=line,
-                    col=info.methods[scalar].col_offset + 1,
-                    message=(
-                        f"class {name} is reachable from the batch flood "
-                        f"path{origin} but defines {scalar}() with no "
-                        f"{batch}() twin"
-                    ),
-                    hint=rule_entry.hint,
-                    snippet=ctx.snippet(line),
-                )
-            )
-    return findings, suppressed
-
-
-# ----------------------------------------------------------------------
 # Entry point
 
 
@@ -497,22 +127,16 @@ def check_parity_paths(
 ) -> tuple[list[Finding], int, int]:
     """Run the parity rules; returns (findings, suppressed, files checked).
 
-    Per-module rules (BAT001/BAT002/BAT004/ORD002) run through the same
-    walker as the determinism linter; the cross-module flood-reachability
-    pass (BAT003) runs over all scanned files at once.  Unparseable
-    files yield ``PARSE001`` error findings, like ``ddoshield lint``.
+    The rules run through the same walker as the determinism linter.
+    Unparseable files yield ``PARSE001`` error findings, like
+    ``ddoshield lint``.
     """
     root_path = Path(root) if root is not None else Path.cwd()
     scan = list(paths) if paths else list(DEFAULT_PARITY_PATHS)
-    per_module = [
-        entry
-        for entry in iter_rules(category="parity")
-        if entry.rule_id != "BAT003"
-    ]
+    rules = iter_rules(category="parity")
     findings: list[Finding] = []
     suppressed = 0
     files_checked = 0
-    contexts: list[LintContext] = []
     for file in iter_python_files(scan, root_path):
         try:
             rel = file.resolve().relative_to(root_path.resolve())
@@ -525,29 +149,9 @@ def check_parity_paths(
             findings.append(parse_failure_finding(shown, exc))
             files_checked += 1
             continue
-        contexts.append(ctx)
-        file_findings, file_suppressed = run_rules(ctx, per_module)
+        file_findings, file_suppressed = run_rules(ctx, rules)
         findings.extend(file_findings)
         suppressed += file_suppressed
         files_checked += 1
-    cross_findings, cross_suppressed = _flood_reachability(contexts)
-    findings.extend(cross_findings)
-    suppressed += cross_suppressed
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     return findings, suppressed, files_checked
-
-
-# BAT003's registry entry exists for metadata (severity, hint, docs);
-# the per-module walker never produces it — _flood_reachability does.
-@rule(
-    "BAT003",
-    "warning",
-    "trains reaching this class must be materialised packet by packet; "
-    "add the batch twin, or baseline with a justification if the scalar "
-    "fallback is deliberate (e.g. an interface default)",
-    category="parity",
-)
-def _flood_scalar_only_placeholder(
-    ctx: "LintContext",
-) -> Iterator[tuple[ast.AST, str]]:
-    return iter(())

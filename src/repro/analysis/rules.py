@@ -29,7 +29,7 @@ class Rule:
     """Registry entry: identity, severity, fix hint and the check itself.
 
     ``category`` partitions the registry between the determinism linter
-    (``ddoshield lint``) and the batch-parity checker (``ddoshield
+    (``ddoshield lint``) and the event-commutativity checker (``ddoshield
     check-parity``); each command runs only its own category so the two
     analyses keep independent baselines.
     """

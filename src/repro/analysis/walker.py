@@ -245,7 +245,7 @@ def lint_source(
     """Lint one module's source; returns (findings, suppressed count).
 
     With ``rules=None`` only the determinism category runs — the parity
-    rules (``BAT*``/``ORD002``) have their own entry point in
+    rule (``ORD002``) has its own entry point in
     :mod:`repro.analysis.parity` and their own baseline.
     """
     ctx = build_context(source, path, wall_clock_allowlist)

@@ -58,14 +58,7 @@ class FtpServer(Process):
     def _on_accept(self, sock: TcpSocket) -> None:
         session = {"user": None, "authed": False, "data_port": None}
         sock.on_data = lambda s, p, n, a: self._on_command(s, p, session)
-        sock.on_data_batch = lambda s, batch: self._on_command_batch(s, batch, session)
         sock.send(b"220 ddoshield-ftp ready\r\n")
-
-    def _on_command_batch(self, sock: TcpSocket, batch, session: dict) -> None:
-        """Control dialogs are message-oriented: a batched delivery of
-        pipelined commands replays the scalar twin row by row."""
-        for packet in batch.packets():
-            self._on_command(sock, packet.payload, session)
 
     def _on_command(self, sock: TcpSocket, payload: bytes, session: dict) -> None:
         line = payload.decode("ascii", errors="replace").strip()
@@ -171,11 +164,6 @@ class FtpClient(Process):
                 received["bytes"] += length
                 self.bytes_downloaded += length
 
-            def on_data_batch(s: TcpSocket, batch) -> None:
-                total = int(batch.payload_len.sum())
-                received["bytes"] += total
-                self.bytes_downloaded += total
-
             def on_data_eof(s: TcpSocket) -> None:
                 # Server FIN after in-order delivery = complete file.
                 if not received["eof"]:
@@ -184,7 +172,6 @@ class FtpClient(Process):
                     control.send(b"QUIT\r\n")
 
             data_sock.on_data = on_data
-            data_sock.on_data_batch = on_data_batch
             data_sock.on_close = on_data_eof
 
         data_listener = self.node.tcp.listen(data_listener_port, on_data_conn)

@@ -54,14 +54,6 @@ class HttpServer(Process):
 
     def _on_accept(self, sock: TcpSocket) -> None:
         sock.on_data = self._on_request
-        sock.on_data_batch = self._on_request_batch
-
-    def _on_request_batch(self, sock: TcpSocket, batch) -> None:
-        """Trains reaching the listener parse per message: requests are
-        message-oriented, so a batched delivery replays the scalar twin
-        row by row (responses still leave as batched send windows)."""
-        for packet in batch.packets():
-            self._on_request(sock, packet.payload, packet.data_len, packet.app_data)
 
     def _on_request(self, sock: TcpSocket, payload: bytes, length: int, app_data: object) -> None:
         if not sock.writable:
@@ -133,16 +125,7 @@ class HttpClient(Process):
                 self.completed += 1
                 s.close()
 
-        def on_data_batch(s: TcpSocket, batch) -> None:
-            self.bytes_fetched += int(batch.payload_len.sum())
-            if batch.app_data is not None and any(
-                tag is not None for tag in batch.app_data
-            ):  # the train carries the response's final segment
-                self.completed += 1
-                s.close()
-
         sock.on_data = on_data
-        sock.on_data_batch = on_data_batch
         sock.on_reset = lambda s: self._count_failure()
         sock.connect(self.server, self.port, on_established)
 

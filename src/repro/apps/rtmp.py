@@ -55,15 +55,8 @@ class RtmpServer(Process):
 
     def _on_accept(self, sock: TcpSocket) -> None:
         sock.on_data = self._on_command
-        sock.on_data_batch = self._on_command_batch
         sock.on_reset = lambda s: self._end_session(s, completed=False)
         sock.on_close = lambda s: self._end_session(s, completed=False)
-
-    def _on_command_batch(self, sock: TcpSocket, batch) -> None:
-        """Commands are message-oriented: a batched delivery replays the
-        scalar twin row by row."""
-        for packet in batch.packets():
-            self._on_command(sock, packet.payload, packet.data_len, packet.app_data)
 
     def _on_command(self, sock: TcpSocket, payload: bytes, length: int, app_data: object) -> None:
         line = payload.decode("ascii", errors="replace").strip()
@@ -163,13 +156,7 @@ class RtmpClient(Process):
             if app_data == ("rtmp", "end-of-stream"):
                 self.sessions_completed += 1
 
-        def on_data_batch(s: TcpSocket, batch) -> None:
-            self.bytes_streamed += int(batch.payload_len.sum())
-            if batch.app_data is not None and ("rtmp", "end-of-stream") in batch.app_data:
-                self.sessions_completed += 1
-
         sock.on_data = on_data
-        sock.on_data_batch = on_data_batch
         sock.on_reset = lambda s: self._count_failure()
         sock.connect(self.server, self.port, on_established)
 

@@ -40,7 +40,6 @@ class MiraiBot(Process):
         self_propagate: bool = False,
         propagation_targets: list[Ipv4Address] | None = None,
         report_credentials: ReportFn | None = None,
-        batch_floods: bool = False,
     ) -> None:
         super().__init__()
         self.cnc_address = cnc_address
@@ -48,7 +47,6 @@ class MiraiBot(Process):
         self.bot_id = bot_id
         self.seed = seed
         self.rng = random.Random(seed)
-        self.batch_floods = batch_floods
         self.self_propagate = self_propagate
         self.propagation_targets = propagation_targets or []
         self.report_credentials = report_credentials
@@ -136,7 +134,6 @@ class MiraiBot(Process):
             order.pps,
             order.duration,
             seed=self.rng.randrange(1 << 30),
-            batch=self.batch_floods,
         )
         self.current_attack.start()
 

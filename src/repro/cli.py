@@ -25,9 +25,9 @@ Four commands cover the testbed's day-to-day uses:
 * ``ddoshield bench-features`` — time the columnar feature pipeline
   (offline transform and per-window latency) and write
   ``BENCH_features.json``;
-* ``ddoshield bench-sim`` — time the batched event kernel against
-  scalar per-packet dispatch across node counts, check scalar/batch
-  equivalence, and write ``BENCH_sim.json``;
+* ``ddoshield bench-sim`` — time the event kernel's packets per second
+  on a flood (or benign) scene across node counts and write
+  ``BENCH_sim.json``;
 * ``ddoshield profile`` — run a flood scene under the deterministic
   kernel profiler and print the per-subsystem attribution table (with
   optional collapsed-stack flamegraph and flight-recorder exports);
@@ -42,9 +42,9 @@ Four commands cover the testbed's day-to-day uses:
   the metrics registry plus a per-span cost summary;
 * ``ddoshield lint`` — run the determinism linter (repro.analysis) over
   the source tree against the committed baseline;
-* ``ddoshield check-parity`` — run the batch/scalar dual-path parity
-  checker and event-commutativity analyzer (BAT001–BAT004, ORD002) over
-  the dual-path subtrees against ``analysis/parity_baseline.json``.
+* ``ddoshield check-parity`` — run the event-commutativity analyzer
+  (ORD002: same-instant handlers that race on shared state) over the
+  data-plane subtrees against ``analysis/parity_baseline.json``.
 """
 
 from __future__ import annotations
@@ -335,15 +335,6 @@ def cmd_bench_sim(args: argparse.Namespace) -> int:
         print(format_benign_benchmark(result))
         if args.out:
             print(f"wrote {merge_benchmark(result, args.out, 'benign')}")
-        if args.assert_speedup is not None:
-            top = result["runs"][-1]
-            speedup = top["speedup_packets_per_second"]
-            if speedup < args.assert_speedup:
-                print(
-                    f"benign speedup {speedup:.2f}x at {top['nodes']} devices "
-                    f"below required {args.assert_speedup:.2f}x"
-                )
-                return 1
         return 0
     result = run_sim_benchmark(
         node_counts=tuple(args.nodes),
@@ -368,7 +359,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     with obs.scope(ctx):
         run = build_and_run_flood(
             n_nodes=args.nodes,
-            batch=not args.scalar,
             pps_per_node=args.pps,
             duration=args.duration,
             seed=args.seed,
@@ -682,7 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(fn=cmd_bench_features)
 
     bench_sim = sub.add_parser(
-        "bench-sim", help="benchmark the batched event kernel against scalar dispatch"
+        "bench-sim",
+        help="benchmark the event kernel's packets per second across node counts",
     )
     bench_sim.add_argument("--nodes", type=int, nargs="+", default=[16, 64, 256, 1024])
     bench_sim.add_argument("--pps", type=float, default=20000.0)
@@ -709,11 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="benign: mean seconds between device sessions")
     bench_sim.add_argument("--mean-dns-interval", type=float, default=2.0,
                            help="benign: mean seconds between DNS lookups")
-    bench_sim.add_argument(
-        "--assert-speedup", type=float, default=None,
-        help="benign: exit non-zero if batch/scalar pkt/s speedup at the "
-             "largest node count falls below this (CI floor)",
-    )
     bench_sim.set_defaults(fn=cmd_bench_sim)
 
     profile = sub.add_parser(
@@ -730,13 +716,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("--segment-size", type=int, default=64,
                          help="devices per CSMA segment (0 = flat LAN)")
-    profile.add_argument("--scalar", action="store_true",
-                         help="profile the scalar per-packet path instead of batch")
     profile.add_argument("--top", type=int, default=15,
                          help="callsite rows in the table (default: 15)")
     profile.add_argument(
         "--no-wall", action="store_true",
-        help="event/train counts only — byte-identical output for a seed",
+        help="event counts only — byte-identical output for a seed",
     )
     profile.add_argument("--flamegraph", default=None,
                          help="write a collapsed-stack file (flamegraph.pl input)")
@@ -844,11 +828,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     parity = sub.add_parser(
         "check-parity",
-        help="check batch/scalar dual-path parity and event commutativity",
+        help="check same-instant event handlers for order-dependent races (ORD002)",
     )
     parity.add_argument(
         "paths", nargs="*", default=[],
-        help="files or directories to check (default: the dual-path subtrees "
+        help="files or directories to check (default: the data-plane subtrees "
         "src/repro/{sim,ids,testbed,botnet})",
     )
     parity.add_argument(

@@ -2,7 +2,7 @@
 
 Three stages, mirroring the paper's IDS component: real-time traffic
 monitoring (a :class:`~repro.ids.engine.RealTimeIds` is itself the
-capture tap, taking delivered frames and trains as field values),
+capture tap, taking each delivered frame as field values),
 preprocessing (window aggregation + feature extraction + scaling), and
 attack identification (the ML model), all on columnar
 :class:`~repro.features.columnar.RecordBatch` windows.

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro import obs
 from repro.sim.address import Ipv4Address
-from repro.sim.packet import PROTO_TCP, Packet, PacketBatch
+from repro.sim.packet import Packet
 
 if TYPE_CHECKING:
     from repro.containers.orchestrator import SupervisorEvent
@@ -136,25 +136,16 @@ class BlocklistFilter:
             lambda: TokenBucket(self.syn_rate_limit, self.syn_burst)
         )
         self._original_receive = None
-        self._original_receive_batch = None
 
     # ------------------------------------------------------------------
     # Installation
 
     def install(self) -> "BlocklistFilter":
-        """Interpose on the node's inbound path (scalar *and* batched).
-
-        Both hooks are overridden together: leaving ``receive_batch``
-        alone would let :class:`~repro.sim.packet.PacketBatch` trains
-        bypass the filter entirely.  Trains from unblocked sources that
-        carry no SYNs (nothing for the rate limiter to decide) pass
-        through whole; anything the per-frame policy must examine is
-        split and run through the scalar filter in arrival order.
-        """
+        """Interpose on the node's inbound path: every frame the node
+        receives is checked against the block table and SYN rate limit."""
         if self._original_receive is not None:
             return self
         self._original_receive = self.node.receive
-        self._original_receive_batch = self.node.receive_batch
         node = self.node
 
         def filtered_receive(frame: Packet, device) -> None:
@@ -164,32 +155,14 @@ class BlocklistFilter:
             assert self._original_receive is not None
             self._original_receive(frame, device)
 
-        def filtered_receive_batch(batch, device) -> None:
-            n = len(batch)
-            if n == 0:
-                return
-            flags = batch.flags if batch.protocol == PROTO_TCP else 0
-            bare_syn = bool(flags & 0x02) and not bool(flags & 0x10)
-            if not self.blocked_until and not bare_syn:
-                # Nothing blocked and no SYNs: every frame would pass.
-                self.passed += n
-                assert self._original_receive_batch is not None
-                self._original_receive_batch(batch, device)
-                return
-            for i in range(n):
-                filtered_receive(batch.packet(i), device)
-
         node.receive = filtered_receive  # type: ignore[method-assign]
-        node.receive_batch = filtered_receive_batch  # type: ignore[method-assign]
         return self
 
     def uninstall(self) -> None:
         if self._original_receive is not None:
-            # Remove the instance overrides so the class methods show again.
+            # Remove the instance override so the class method shows again.
             self.node.__dict__.pop("receive", None)
-            self.node.__dict__.pop("receive_batch", None)
             self._original_receive = None
-            self._original_receive_batch = None
 
     # ------------------------------------------------------------------
     # Block table
@@ -364,38 +337,6 @@ class UpstreamFilter:
         if self.on_expire is not None:
             self.on_expire(src, until)
         return False
-
-    def should_drop_batch(
-        self, batch: PacketBatch, sender, now: float
-    ) -> "np.ndarray | None":
-        """Vectorized :meth:`should_drop` for a train; True rows drop.
-
-        Matches the scalar path's lazy expiry: a blocked source whose
-        TTL (+grace) has lapsed is expired — and reported via
-        ``on_expire`` — only when one of its frames shows up, exactly as
-        the per-frame check would.  Returns None when nothing drops.
-        """
-        if len(batch) == 0 or not self.blocked_until:
-            return None
-        to_victim = batch.dst_ip == self.victim_ip
-        if not bool(to_victim.any()):
-            return None
-        live: list[int] = []
-        for src in np.unique(batch.src_ip[to_victim]).tolist():
-            until = self.blocked_until.get(src)
-            if until is None:
-                continue
-            if now < until + self.ttl_grace:
-                live.append(src)
-            else:
-                del self.blocked_until[src]
-                if self.on_expire is not None:
-                    self.on_expire(src, until)
-        if not live:
-            return None
-        mask = to_victim & np.isin(batch.src_ip, np.asarray(live, dtype=np.int64))
-        self.dropped += int(mask.sum())
-        return mask
 
     @property
     def active_blocks(self) -> int:

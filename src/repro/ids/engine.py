@@ -31,10 +31,10 @@ from repro.ids.report import (
     WindowResult,
 )
 from repro.ml.serialization import model_size_kb
-from repro.sim.tracing import packet_fields, train_fields
+from repro.sim.tracing import packet_fields
 
 if TYPE_CHECKING:
-    from repro.sim.packet import Packet, PacketBatch
+    from repro.sim.packet import Packet
 
 
 class Classifier(Protocol):
@@ -137,17 +137,11 @@ class RealTimeIds:
     def __call__(self, packet: "Packet", timestamp: float) -> None:
         """Live tap: one delivered frame (non-IP frames are skipped).
 
-        With :meth:`observe_batch` this is the probe interface, so the
-        IDS can be added to a channel like a ``PacketProbe``.
+        This is the probe interface, so the IDS can be added to a
+        channel like a ``PacketProbe``.
         """
         if packet.ip is not None:
             self._aggregator.add(packet_fields(packet, timestamp))
-
-    def observe_batch(self, batch: "PacketBatch", times: np.ndarray) -> None:
-        """Live tap: a delivered train at its exact per-frame instants."""
-        if len(batch) == 0:
-            return
-        self._aggregator.extend(train_fields(batch, times))
 
     def _on_window(self, index: int, window: RecordBatch) -> None:
         # Fill interior gaps: windows arrive only when non-empty, so

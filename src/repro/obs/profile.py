@@ -10,8 +10,8 @@ app, …), resolved from the callback's defining module.
 
 Two export planes with different determinism guarantees:
 
-* **counts** — events, trains, train/scalar packet totals, bucket sizes
-  — are pure simulation facts, identical for a seed run over run.
+* **counts** — events, packets carried, bucket sizes — are pure
+  simulation facts, identical for a seed run over run.
   ``snapshot(include_wall=False)`` and
   ``format_table(include_wall=False)`` emit only these, so attribution
   tables are byte-identical across repeats.
@@ -98,8 +98,7 @@ class _CallsiteStat:
     """Accumulated cost and cargo counts for one handler function."""
 
     __slots__ = (
-        "label", "owner", "events", "wall_seconds",
-        "trains", "train_packets", "scalar_packets", "hist",
+        "label", "owner", "events", "wall_seconds", "packets", "hist",
     )
 
     def __init__(self, label: str, owner: str) -> None:
@@ -107,9 +106,7 @@ class _CallsiteStat:
         self.owner = owner
         self.events = 0
         self.wall_seconds = 0.0
-        self.trains = 0
-        self.train_packets = 0
-        self.scalar_packets = 0
+        self.packets = 0
         self.hist = Histogram(buckets=LATENCY_BUCKETS)
 
 
@@ -132,7 +129,6 @@ class KernelProfiler:
         # Lazily imported to keep repro.obs importable before repro.sim
         # (sim modules import repro.obs at module level).
         self._packet_cls: type | None = None
-        self._batch_cls: type | None = None
         self._periodic_cls: type | None = None
 
     # ------------------------------------------------------------------
@@ -140,10 +136,9 @@ class KernelProfiler:
 
     def _bind_classes(self) -> None:
         from repro.sim.core import PeriodicEvent
-        from repro.sim.packet import Packet, PacketBatch
+        from repro.sim.packet import Packet
 
         self._packet_cls = Packet
-        self._batch_cls = PacketBatch
         self._periodic_cls = PeriodicEvent
 
     def dispatch(self, event: Any) -> None:
@@ -179,11 +174,8 @@ class KernelProfiler:
         stat.wall_seconds += elapsed
         stat.hist.observe(elapsed)
         for arg in args:
-            if isinstance(arg, self._batch_cls):
-                stat.trains += 1
-                stat.train_packets += len(arg)
-            elif isinstance(arg, self._packet_cls):
-                stat.scalar_packets += 1
+            if isinstance(arg, self._packet_cls):
+                stat.packets += 1
 
     def note_bucket(self, n_events: int) -> None:
         """One equal-(time, priority) bucket of ``n_events`` was drained."""
@@ -196,17 +188,11 @@ class KernelProfiler:
     def _ordered_stats(self) -> list[_CallsiteStat]:
         return sorted(self._stats.values(), key=lambda s: (s.owner, s.label))
 
-    def batch_stats(self) -> dict:
-        """Batch-efficiency gauges (deterministic for a seed)."""
-        stats = self._stats.values()
-        trains = sum(s.trains for s in stats)
-        train_packets = sum(s.train_packets for s in stats)
-        scalar_packets = sum(s.scalar_packets for s in stats)
+    def bucket_stats(self) -> dict:
+        """Packets carried and same-instant buckets drained (deterministic
+        for a seed)."""
         return {
-            "trains": trains,
-            "train_packets": train_packets,
-            "mean_train_packets": train_packets / trains if trains else 0.0,
-            "scalar_packets": scalar_packets,
+            "packets": sum(s.packets for s in self._stats.values()),
             "buckets_drained": self.buckets_drained,
             "bucket_events": self.bucket_events,
             "mean_bucket_events": (
@@ -238,15 +224,10 @@ class KernelProfiler:
         for stat in self._ordered_stats():
             row = owners.setdefault(
                 stat.owner,
-                {
-                    "events": 0, "trains": 0,
-                    "train_packets": 0, "scalar_packets": 0,
-                },
+                {"events": 0, "packets": 0},
             )
             row["events"] += stat.events
-            row["trains"] += stat.trains
-            row["train_packets"] += stat.train_packets
-            row["scalar_packets"] += stat.scalar_packets
+            row["packets"] += stat.packets
             if include_wall:
                 row["wall_seconds"] = row.get("wall_seconds", 0.0) + stat.wall_seconds
                 merged = hists.get(stat.owner)
@@ -272,9 +253,7 @@ class KernelProfiler:
                 "callsite": stat.label,
                 "owner": stat.owner,
                 "events": stat.events,
-                "trains": stat.trains,
-                "train_packets": stat.train_packets,
-                "scalar_packets": stat.scalar_packets,
+                "packets": stat.packets,
             }
             if include_wall:
                 row["wall_seconds"] = stat.wall_seconds
@@ -285,7 +264,7 @@ class KernelProfiler:
         payload: dict = {
             "callsites": callsites,
             "owners": self.owner_summary(include_wall=include_wall),
-            "batch": self.batch_stats(),
+            "buckets": self.bucket_stats(),
         }
         if include_wall:
             payload["attribution"] = self.attribution()
@@ -312,10 +291,8 @@ class KernelProfiler:
         header = f"{'owner':<10} {'callsite':<44} {'events':>9}"
         if include_wall:
             header += f" {'wall ms':>9} {'wall %':>7} {'p50µs':>7} {'p95µs':>7} {'p99µs':>7}"
-        header += f" {'trains':>7} {'pkts/train':>10}"
         lines = [header, "-" * len(header)]
         for stat in stats[:top]:
-            mean_train = stat.train_packets / stat.trains if stat.trains else 0.0
             line = f"{stat.owner:<10} {stat.label:<44.44} {stat.events:>9}"
             if include_wall:
                 share = 100.0 * stat.wall_seconds / total_wall if total_wall else 0.0
@@ -325,17 +302,14 @@ class KernelProfiler:
                     f" {1e6 * stat.hist.percentile(0.95):>7.0f}"
                     f" {1e6 * stat.hist.percentile(0.99):>7.0f}"
                 )
-            line += f" {stat.trains:>7} {mean_train:>10.1f}"
             lines.append(line)
         if len(stats) > top:
             lines.append(f"... {len(stats) - top} more callsite(s)")
-        batch = self.batch_stats()
+        buckets = self.bucket_stats()
         lines.append(
-            f"batch: {batch['trains']} train(s), "
-            f"{batch['mean_train_packets']:.1f} pkt/train mean, "
-            f"{batch['scalar_packets']} scalar-fallback packet(s), "
-            f"{batch['buckets_drained']} bucket(s) drained "
-            f"({batch['mean_bucket_events']:.1f} events/bucket)"
+            f"{buckets['packets']} packet(s) carried, "
+            f"{buckets['buckets_drained']} bucket(s) drained "
+            f"({buckets['mean_bucket_events']:.1f} events/bucket)"
         )
         if include_wall:
             attr = self.attribution()
@@ -376,9 +350,7 @@ def merge_profiles(profiles: Iterable[KernelProfiler]) -> KernelProfiler:
                 into = merged._stats[func] = _CallsiteStat(stat.label, stat.owner)
             into.events += stat.events
             into.wall_seconds += stat.wall_seconds
-            into.trains += stat.trains
-            into.train_packets += stat.train_packets
-            into.scalar_packets += stat.scalar_packets
+            into.packets += stat.packets
             into.hist.count += stat.hist.count
             into.hist.total += stat.hist.total
             for i, n in enumerate(stat.hist.bucket_counts):

@@ -185,14 +185,9 @@ def extract_metrics(result: dict) -> dict[str, tuple[float, str]]:
     """
     metrics: dict[str, tuple[float, str]] = {}
     for row in result.get("runs", []):
-        nodes = row.get("nodes")
-        batch = row.get("batch", {})
-        value = batch.get("packets_per_second")
+        value = row.get("scalar", {}).get("packets_per_second")
         if isinstance(value, (int, float)):
-            metrics[f"nodes{nodes}.batch_pkts_per_s"] = (float(value), "higher")
-        speedup = row.get("speedup_packets_per_second")
-        if isinstance(speedup, (int, float)):
-            metrics[f"nodes{nodes}.speedup"] = (float(speedup), "higher")
+            metrics[f"nodes{row.get('nodes')}.scalar_pkts_per_s"] = (float(value), "higher")
     offline = result.get("offline_transform")
     if isinstance(offline, dict):
         if isinstance(offline.get("speedup"), (int, float)):

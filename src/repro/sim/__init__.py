@@ -25,7 +25,6 @@ from repro.sim.packet import (
     EthernetHeader,
     Ipv4Header,
     Packet,
-    PacketBatch,
     TcpFlags,
     TcpHeader,
     UdpHeader,
@@ -49,7 +48,6 @@ __all__ = [
     "MacAddress",
     "Node",
     "Packet",
-    "PacketBatch",
     "PacketProbe",
     "PacketRecord",
     "PcapReader",

@@ -15,12 +15,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
-from repro import obs
 from repro.sim.address import BROADCAST_MAC, Ipv4Address, MacAddress
 from repro.sim.core import Simulator
-from repro.sim.packet import EthernetHeader, Packet, PacketBatch
+from repro.sim.packet import EthernetHeader, Packet
 from repro.sim.queue import DropTailQueue
 from repro.sim.units import parse_rate, parse_time
 
@@ -97,9 +94,6 @@ class CsmaChannel:
         #: ARP-substitute resolution cache keyed by ``Ipv4Address.value``
         #: (cleared on any topology change).
         self._resolve_cache: dict[int, MacAddress | None] = {}
-        ctx = obs.current()
-        self._obs_trains = ctx.registry.counter("channel.trains")
-        self._obs_train_frames = ctx.registry.counter("channel.train_frames")
         if sim.sanitizer is not None:
             sim.sanitizer.register_channel("csma", self)
 
@@ -195,17 +189,9 @@ class CsmaChannel:
             return
         while self._waiting:
             device = self._waiting.pop(0)
-            # Trains need per-frame fault treatment the injector API can't
-            # give them, so an installed injector forces the scalar path
-            # (head batches are split one packet at a time).
-            unit = device.queue.dequeue_unit(allow_batch=self.fault_injector is None)
-            if unit is None:
+            frame = device.queue.dequeue()
+            if frame is None:
                 continue
-            if isinstance(unit, PacketBatch):
-                if self._serve_train(unit, device):
-                    return
-                continue
-            frame = unit
             self.frames_dequeued += 1
             if self.traffic_filter is not None and self.traffic_filter.should_drop(
                 frame, device, self.sim.now
@@ -233,53 +219,6 @@ class CsmaChannel:
             self.sim.schedule(tx_time, self._release, device)
             return
 
-    def _serve_train(self, batch: PacketBatch, device: "CsmaNetDevice") -> bool:
-        """Transmit a whole batch back-to-back; True when the wire is taken.
-
-        Release times are the exact cumulative sums the scalar path would
-        produce frame by frame (``np.cumsum`` accumulates sequentially),
-        and every frame's delivery instant is carried alongside the batch
-        so probes timestamp records bit-identically to the scalar kernel.
-        """
-        n = len(batch)
-        self.frames_dequeued += n
-        filt = self.traffic_filter
-        if filt is not None:
-            now = self.sim.now
-            should_drop_batch = getattr(filt, "should_drop_batch", None)
-            if should_drop_batch is not None:
-                mask = should_drop_batch(batch, device, now)
-            else:
-                mask = np.fromiter(
-                    (
-                        filt.should_drop(batch.packet(i), device, now)
-                        for i in range(n)
-                    ),
-                    dtype=bool,
-                    count=n,
-                )
-            dropped = 0 if mask is None else int(mask.sum())
-            if dropped:
-                self.frames_filtered += dropped
-                if dropped == n:
-                    if not device.queue.is_empty and device not in self._waiting:
-                        self._waiting.append(device)
-                    return False
-                batch = batch.compress(~mask)
-                n = len(batch)
-        self._busy = True
-        tx = batch.sizes * 8 / self.data_rate
-        release_times = np.cumsum(np.concatenate(((self.sim.now,), tx)))
-        deliveries = release_times[:-1] + (tx + self.delay)
-        self.frames_in_flight += n
-        self._obs_trains.inc()
-        self._obs_train_frames.inc(n)
-        self.sim.schedule_abs(
-            float(deliveries[-1]), self._deliver_train, batch, deliveries, device
-        )
-        self.sim.schedule_abs(float(release_times[-1]), self._release, device)
-        return True
-
     def _release(self, device: "CsmaNetDevice") -> None:
         self._busy = False
         if not device.queue.is_empty:
@@ -305,37 +244,6 @@ class CsmaChannel:
         for device in list(self._promiscuous):
             if device is not sender and device is not target:
                 device.receive(frame)
-
-    def _deliver_train(
-        self,
-        batch: PacketBatch,
-        times: np.ndarray,
-        sender: "CsmaNetDevice",
-    ) -> None:
-        """Deliver a whole train, handing probes exact per-frame instants."""
-        n = len(batch)
-        self.frames_in_flight -= n
-        self.frames_delivered += n
-        for probe in self._probes:
-            observe = getattr(probe, "observe_batch", None)
-            if observe is not None:
-                observe(batch, times)
-            else:
-                for i in range(n):
-                    probe(batch.packet(i), float(times[i]))
-        assert batch.dst_mac is not None
-        dst = batch.dst_mac.value
-        if dst == _BROADCAST:
-            for device in list(self._devices):
-                if device is not sender:
-                    device.receive_batch(batch, times)
-            return
-        target = self._by_mac.get(dst)
-        if target is not None and target is not sender:
-            target.receive_batch(batch, times)
-        for device in list(self._promiscuous):
-            if device is not sender and device is not target:
-                device.receive_batch(batch, times)
 
 
 class CsmaNetDevice:
@@ -390,27 +298,6 @@ class CsmaNetDevice:
             self.channel.request(self)
         return accepted
 
-    def send_batch(
-        self,
-        batch: PacketBatch,
-        dst_mac: MacAddress,
-        *,
-        unresolved: bool = False,
-    ) -> int:
-        """Frame a whole batch and queue it as one train.
-
-        Returns the number of frames accepted (the transmit queue splits
-        batches that only partially fit).
-        """
-        if not self.attached or len(batch) == 0:
-            return 0
-        framed = batch.with_macs(self.mac, dst_mac, unresolved=unresolved)
-        accepted = self.queue.enqueue_batch(framed)
-        if accepted:
-            self.tx_count += accepted
-            self.channel.request(self)
-        return accepted
-
     def receive(self, frame: Packet) -> None:
         """Channel delivers a frame; filter by MAC unless promiscuous."""
         assert frame.eth is not None
@@ -423,27 +310,6 @@ class CsmaNetDevice:
             callback(frame)
         if is_mine and self.node is not None:
             self.node.receive(frame, self)
-
-    def receive_batch(self, batch: PacketBatch, times: np.ndarray) -> None:
-        """Channel delivers a train; filter by MAC unless promiscuous."""
-        assert batch.dst_mac is not None
-        dst = batch.dst_mac.value
-        is_mine = dst == self.mac.value or dst == _BROADCAST
-        if not is_mine and not self.promiscuous:
-            return
-        n = len(batch)
-        if n == 0:
-            return
-        self.rx_count += n
-        for callback in self._rx_callbacks:
-            observe = getattr(callback, "observe_batch", None)
-            if observe is not None:
-                observe(batch, times)
-            else:
-                for i in range(n):
-                    callback(batch.packet(i))
-        if is_mine and self.node is not None:
-            self.node.receive_batch(batch, self)
 
     def detach(self) -> None:
         """Leave the channel (device churn)."""

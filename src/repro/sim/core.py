@@ -17,9 +17,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:
     from repro.analysis.sanitizers import Sanitizer
@@ -78,10 +76,9 @@ class PeriodicEvent:
 
     Rescheduling with ``schedule(interval, ...)`` from inside the callback
     accumulates float rounding (``now + interval`` drifts by one ulp every
-    few thousand ticks), so two runs with different batch sizes disagree on
-    tick counts near phase boundaries.  Anchoring each tick to the start
-    time keeps 10k ticks on exact multiples and makes tick counts identical
-    across batch sizes.
+    few thousand ticks), so tick counts near phase boundaries depend on
+    how long the schedule has run.  Anchoring each tick to the start time
+    keeps 10k ticks on exact multiples.
     """
 
     __slots__ = (
@@ -199,7 +196,6 @@ class Simulator:
         self._obs_dispatched = ctx.registry.counter("sim.events_dispatched")
         self._obs_heap_depth = ctx.registry.gauge("sim.heap_depth")
         self._obs_compactions = ctx.registry.counter("sim.heap_compactions")
-        self._obs_batch_scheduled = ctx.registry.counter("sim.events_batch_scheduled")
         self._obs_buckets_drained = ctx.registry.counter("sim.buckets_drained")
         # Flight recorder and profiler ride the same ambient context;
         # both default to None so the dispatch sites pay one `is None`
@@ -328,95 +324,6 @@ class Simulator:
         heapq.heappush(self._heap, (when, priority, seq, event))
         self._obs_heap_depth.set(len(self._heap))
         return event
-
-    def schedule_batch(
-        self,
-        delays: "Sequence[float] | np.ndarray",
-        callback: Callable[..., Any],
-        args_seq: Sequence[tuple] | None = None,
-        *,
-        priority: int = PRIORITY_NORMAL,
-    ) -> list[Event]:
-        """Bulk-schedule ``callback`` at each of ``delays`` seconds from now.
-
-        Equivalent to ``[self.schedule(d, callback, *a) for d, a in
-        zip(delays, args_seq)]`` — sequence numbers are assigned in input
-        order, so the execution order is bit-identical to the scalar loop —
-        but the enqueue is one vectorized validation plus an O(n + k)
-        heap merge instead of k O(log n) pushes.
-        """
-        arr = np.asarray(delays, dtype=np.float64)
-        # min() propagates NaN, which then fails `>=`.
-        if arr.size and not float(arr.min()) >= 0:
-            raise SimulationError(
-                f"delays must be non-negative numbers of seconds, "
-                f"got min {float(arr.min())}"
-            )
-        return self.schedule_batch_abs(
-            arr + self._now, callback, args_seq, priority=priority
-        )
-
-    def schedule_batch_abs(
-        self,
-        times: "Sequence[float] | np.ndarray",
-        callback: Callable[..., Any],
-        args_seq: Sequence[tuple] | None = None,
-        *,
-        priority: int = PRIORITY_NORMAL,
-    ) -> list[Event]:
-        """Bulk-schedule ``callback`` at each absolute time in ``times``.
-
-        ``args_seq`` optionally supplies one argument tuple per event.
-        Returns the created events in input order.  A sorted pending array
-        (numpy stable argsort) is installed directly when the heap is empty
-        — a sorted list satisfies the heap invariant — otherwise the batch
-        is list-appended and re-heapified in O(n + k).
-        """
-        arr = np.asarray(times, dtype=np.float64)
-        if arr.ndim != 1:
-            raise SimulationError(f"times must be 1-d, got shape {arr.shape}")
-        if arr.size == 0:
-            return []
-        if not float(arr.min()) >= self._now:
-            raise SimulationError(
-                f"cannot schedule at t={float(arr.min())}: not a time at or "
-                f"after the current time t={self._now}"
-            )
-        if float(arr.max()) == _INF:
-            raise SimulationError(
-                f"cannot schedule at t={float(arr.max())}: times must be finite"
-            )
-        if args_seq is not None and len(args_seq) != arr.size:
-            raise SimulationError(
-                f"args_seq has {len(args_seq)} entries for {arr.size} times"
-            )
-        seq = self._seq
-        if args_seq is None:
-            events = [
-                Event(t, priority, next(seq), callback, (), False, self, True)
-                for t in arr.tolist()
-            ]
-        else:
-            events = [
-                Event(t, priority, next(seq), callback, tuple(a), False, self, True)
-                for t, a in zip(arr.tolist(), args_seq)
-            ]
-        entries = [(ev.time, priority, ev.seq, ev) for ev in events]
-        heap = self._heap
-        if not heap:
-            # Stable sort keeps input (= seq) order among equal times, so
-            # the sorted array is exactly heap order.
-            order = np.argsort(arr, kind="stable")
-            heap.extend(entries[i] for i in order)
-        elif len(entries) < 8:
-            for entry in entries:
-                heapq.heappush(heap, entry)
-        else:
-            heap.extend(entries)
-            heapq.heapify(heap)
-        self._obs_batch_scheduled.inc(len(events))
-        self._obs_heap_depth.set(len(heap))
-        return events
 
     def schedule_periodic(
         self,

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.sim.address import (
     ANY_ADDRESS,
     BROADCAST_MAC,
@@ -31,7 +29,6 @@ from repro.sim.packet import (
     UNRESOLVED_MARKER,
     Ipv4Header,
     Packet,
-    PacketBatch,
 )
 
 
@@ -178,75 +175,6 @@ class Node:
         self.packets_sent += 1
         return iface.device.send(packet, dst_mac)
 
-    def send_ipv4_batch(self, batch: PacketBatch, on_accepted=None) -> int:
-        """Route and transmit a whole batch; returns frames accepted.
-
-        The batch is partitioned by ``(interface, next_hop)`` — for flood
-        traffic every packet shares one destination, so the common case is
-        a single train.  Unroutable rows are counted and dropped exactly
-        as the scalar path does.
-
-        ``on_accepted(sub, taken)`` (optional) fires once per routed
-        group with the sub-batch and how many of its leading frames the
-        device queue accepted — queues take prefixes, so a caller that
-        needs exact per-packet accounting (TCP goodput) can sum the
-        accepted head of each group rather than guessing from the total.
-        """
-        n = len(batch)
-        if n == 0:
-            return 0
-        groups = self._route_batch(batch)
-        accepted = 0
-        for sub, iface, next_hop in groups:
-            if iface is None:
-                self.packets_unroutable += len(sub)
-                continue
-            unresolved = False
-            if next_hop == iface.network.broadcast:
-                dst_mac: MacAddress | None = BROADCAST_MAC
-            else:
-                dst_mac = iface.device.channel.resolve(next_hop)
-            if dst_mac is None:
-                dst_mac = BROADCAST_MAC
-                unresolved = True
-            self.packets_sent += len(sub)
-            taken = iface.device.send_batch(sub, dst_mac, unresolved=unresolved)
-            accepted += taken
-            if on_accepted is not None:
-                on_accepted(sub, taken)
-        return accepted
-
-    def _route_batch(
-        self, batch: PacketBatch
-    ) -> list[tuple[PacketBatch, Interface | None, Ipv4Address]]:
-        """Partition a batch into per-``(iface, next_hop)`` sub-batches.
-
-        Fast path: a single-destination batch routes once.  Otherwise
-        destinations are grouped with ``np.unique`` and each unique
-        destination routed scalar-side (destination counts are small:
-        flood targets, not flood sources).
-        """
-        dst = batch.dst_ip
-        first = int(dst[0])
-        if bool((dst == first).all()):
-            try:
-                iface, next_hop = self.route_for(Ipv4Address(first))
-            except NetworkError:
-                return [(batch, None, Ipv4Address(first))]
-            return [(batch, iface, next_hop)]
-        groups: list[tuple[PacketBatch, Interface | None, Ipv4Address]] = []
-        uniques, inverse = np.unique(dst, return_inverse=True)
-        for u, value in enumerate(uniques.tolist()):
-            sub = batch.compress(inverse == u)
-            address = Ipv4Address(int(value))
-            try:
-                iface, next_hop = self.route_for(address)
-            except NetworkError:
-                groups.append((sub, None, address))
-                continue
-            groups.append((sub, iface, next_hop))
-        return groups
-
     def receive(self, frame: Packet, device: CsmaNetDevice) -> None:
         """Inbound frame from a device; demux to the transports.
 
@@ -277,52 +205,6 @@ class Node:
         elif frame.ip.protocol == PROTO_UDP and frame.udp is not None:
             self.udp.receive(frame)
 
-    def receive_batch(self, batch: PacketBatch, device: CsmaNetDevice) -> None:
-        """Inbound train from a device; demux or forward in bulk.
-
-        If something interposed on the scalar ``receive`` (a mitigation
-        filter monkeypatching this node) without also providing a batch
-        hook, fall back to per-packet delivery so the interposer keeps
-        seeing every frame.
-        """
-        if batch.unresolved or len(batch) == 0:
-            return
-        if "receive" in self.__dict__ and "receive_batch" not in self.__dict__:
-            for packet in batch.packets():
-                self.receive(packet, device)
-            return
-        dst = batch.dst_ip
-        local_values = [iface.address.value for iface in self.interfaces]
-        bcast_values = [iface.network.broadcast.value for iface in self.interfaces]
-        bcast_values.append(ANY_ADDRESS.value)
-        dst0 = int(dst[0])
-        if int(dst[-1]) == dst0 and bool((dst == dst0).all()):
-            # Uniform destination — the shape of every socket-to-socket
-            # train — needs two list membership tests, not np.isin.
-            if dst0 in local_values or dst0 in bcast_values:
-                sub = batch
-            else:
-                if self.is_router:
-                    self._forward_batch(batch)
-                return
-        else:
-            mine = np.isin(dst, local_values) | np.isin(dst, bcast_values)
-            if not mine.any():
-                if self.is_router:
-                    self._forward_batch(batch)
-                return
-            if mine.all():
-                sub = batch
-            else:
-                if self.is_router:
-                    self._forward_batch(batch.compress(~mine))
-                sub = batch.compress(mine)
-        self.packets_received += len(sub)
-        if batch.protocol == PROTO_TCP:
-            self.tcp.receive_batch(sub)
-        elif batch.protocol == PROTO_UDP:
-            self.udp.receive_batch(sub)
-
     def _forward(self, frame: Packet) -> None:
         """Route a transit packet out the next-hop interface."""
         assert frame.ip is not None
@@ -341,16 +223,6 @@ class Node:
         )
         self.packets_forwarded += 1
         self.send_ipv4(decremented)
-
-    def _forward_batch(self, batch: PacketBatch) -> None:
-        """Route a transit train out the next-hop interface (TTL - 1)."""
-        if len(batch) == 0:
-            return
-        if batch.ttl <= 1:
-            self.ttl_expired += len(batch)
-            return
-        self.packets_forwarded += len(batch)
-        self.send_ipv4_batch(batch.with_ttl(batch.ttl - 1))
 
 
 def _mark_unresolved(packet: Packet) -> Packet:

@@ -3,24 +3,16 @@
 CSMA devices enqueue frames while the channel is busy.  Under a DDoS
 flood the queue overflows and drops packets — the mechanism by which the
 simulated TServer's goodput collapses, exactly as on a real congested
-link.
-
-Capacity is counted in *packets*: a :class:`~repro.sim.packet.PacketBatch`
-of ``n`` frames occupies ``n`` slots, and a batch that only partially
-fits is split at the boundary (the head is accepted, the tail dropped)
-so batched and scalar floods see identical drop behaviour.
+link.  Capacity is counted in packets.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Union
+from typing import Callable
 
 from repro import obs
-from repro.sim.packet import Packet, PacketBatch
-
-#: A queue entry: one packet, or a struct-of-arrays batch of packets.
-QueueUnit = Union[Packet, PacketBatch]
+from repro.sim.packet import Packet
 
 
 class DropTailQueue:
@@ -30,8 +22,7 @@ class DropTailQueue:
         if capacity < 1:
             raise ValueError(f"queue capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._items: deque[QueueUnit] = deque()
-        self._size = 0  # packets queued (batches count their length)
+        self._items: deque[Packet] = deque()
         self.enqueued = 0
         self.dropped = 0
         self.dequeued = 0
@@ -42,7 +33,6 @@ class DropTailQueue:
         self._obs_enqueued = obs.NULL_INSTRUMENT
         self._obs_dropped = obs.NULL_INSTRUMENT
         self._obs_flushed = obs.NULL_INSTRUMENT
-        self._obs_splits = obs.NULL_INSTRUMENT
         self._obs_events = obs.current().events
         self._obs_name = ""
         self._obs_clock: Callable[[], float] | None = None
@@ -53,20 +43,19 @@ class DropTailQueue:
         self._obs_enqueued = ctx.registry.counter("queue.enqueued", queue=name)
         self._obs_dropped = ctx.registry.counter("queue.dropped", queue=name)
         self._obs_flushed = ctx.registry.counter("queue.flushed", queue=name)
-        self._obs_splits = ctx.registry.counter("queue.batch_splits", queue=name)
         self._obs_name = name
         self._obs_clock = clock
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._items)
 
     @property
     def is_empty(self) -> bool:
-        return self._size == 0
+        return not self._items
 
     @property
     def is_full(self) -> bool:
-        return self._size >= self.capacity
+        return len(self._items) >= self.capacity
 
     def _record_drop_event(self) -> None:
         if self._obs_events.enabled and self._obs_clock is not None:
@@ -82,79 +71,19 @@ class DropTailQueue:
             self._record_drop_event()
             return False
         self._items.append(packet)
-        self._size += 1
         self.enqueued += 1
         self._obs_enqueued.inc()
         return True
 
-    def enqueue_batch(self, batch: PacketBatch) -> int:
-        """Append as much of ``batch`` as fits; return the accepted count.
-
-        A batch that only partially fits is *split* at the free-slot
-        boundary — the head is accepted, the overflow dropped — matching
-        what the scalar path does packet by packet.
-        """
-        n = len(batch)
-        if n == 0:
-            return 0
-        free = self.capacity - self._size
-        if free <= 0:
-            self.dropped += n
-            self._obs_dropped.inc(n)
-            self._record_drop_event()
-            return 0
-        if n > free:
-            batch, _tail = batch.split(free)
-            self._obs_splits.inc()
-            self.dropped += n - free
-            self._obs_dropped.inc(n - free)
-            self._record_drop_event()
-            n = free
-        self._items.append(batch)
-        self._size += n
-        self.enqueued += n
-        self._obs_enqueued.inc(n)
-        return n
-
     def dequeue(self) -> Packet | None:
-        """Pop the oldest *packet*, splitting it off a head batch if needed."""
-        unit = self.dequeue_unit(allow_batch=False)
-        assert unit is None or isinstance(unit, Packet)
-        return unit
-
-    def dequeue_unit(self, allow_batch: bool = True) -> QueueUnit | None:
-        """Pop the oldest unit (packet, or whole batch when allowed).
-
-        With ``allow_batch=False`` a head batch yields exactly one
-        materialised packet and the remainder stays queued — the scalar
-        fallback used when fault injectors or legacy filters need
-        per-frame treatment.
-        """
+        """Pop the oldest packet."""
         if not self._items:
             return None
-        head = self._items[0]
-        if isinstance(head, Packet):
-            self._items.popleft()
-            self._size -= 1
-            self.dequeued += 1
-            return head
-        if allow_batch:
-            self._items.popleft()
-            n = len(head)
-            self._size -= n
-            self.dequeued += n
-            return head
-        packet = head.packet(0)
-        if len(head) == 1:
-            self._items.popleft()
-        else:
-            self._items[0] = head.slice(1)
-        self._size -= 1
         self.dequeued += 1
-        return packet
+        return self._items.popleft()
 
-    def peek(self) -> QueueUnit | None:
-        """Look at the oldest unit without removing it."""
+    def peek(self) -> Packet | None:
+        """Look at the oldest packet without removing it."""
         return self._items[0] if self._items else None
 
     def conservation_error(self) -> str | None:
@@ -162,21 +91,14 @@ class DropTailQueue:
 
         The invariant (checked by the runtime sanitizers): every packet
         ever accepted is either dequeued, flushed, or still queued —
-        ``enqueued == dequeued + flushed + len(queue)``.  Batches count
-        as their packet lengths throughout.
+        ``enqueued == dequeued + flushed + len(queue)``.
         """
-        actual = sum(
-            len(unit) if isinstance(unit, PacketBatch) else 1
-            for unit in self._items
-        )
-        accounted = self.dequeued + self.flushed + actual
-        if self.enqueued != accounted:
+        backlog = len(self._items)
+        if self.enqueued != self.dequeued + self.flushed + backlog:
             return (
                 f"enqueued={self.enqueued} != dequeued={self.dequeued} + "
-                f"flushed={self.flushed} + backlog={actual}"
+                f"flushed={self.flushed} + backlog={backlog}"
             )
-        if actual != self._size:
-            return f"cached size {self._size} != live backlog {actual}"
         return None
 
     def clear(self) -> None:
@@ -187,7 +109,6 @@ class DropTailQueue:
         ``enqueued == dequeued + flushed + len(queue)``
         (``dropped`` counts rejected arrivals, which were never enqueued).
         """
-        self._obs_flushed.inc(self._size)
-        self.flushed += self._size
+        self._obs_flushed.inc(len(self._items))
+        self.flushed += len(self._items)
         self._items.clear()
-        self._size = 0

@@ -23,11 +23,7 @@ import enum
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress, groupby, repeat
-from operator import itemgetter
 from typing import TYPE_CHECKING, Callable
-
-import numpy as np
 
 from repro import obs
 from repro.sim.address import Ipv4Address
@@ -36,7 +32,6 @@ from repro.sim.packet import (
     PROTO_TCP,
     Ipv4Header,
     Packet,
-    PacketBatch,
     Provenance,
     TcpFlags,
     TcpHeader,
@@ -197,86 +192,6 @@ class TcpListener:
         isn = self._isns.pop(key, 0)
         return self._promote(packet, isn)
 
-    def handle_syn_batch(
-        self,
-        src_ip: np.ndarray,
-        src_port: np.ndarray,
-        seq: np.ndarray,
-    ) -> None:
-        """Process a SYN train against the backlog, scalar-equivalently.
-
-        Packets are consumed in order with the exact per-packet semantics
-        of :meth:`handle_syn` (duplicate suppression, cookie watermark,
-        ISN draws and timers in arrival order) until the backlog fills;
-        from there no state can change within the train — cookies are off
-        whenever backlog-full is reachable — so the saturated tail is only
-        counted: every tail row whose key is not already half-open is a
-        drop.  SYN-ACK replies accumulate into one response batch.
-        """
-        n = int(src_ip.shape[0])
-        src_ip_list = src_ip.tolist()
-        src_port_list = src_port.tolist()
-        seq_list = seq.tolist()
-        resp_dst: list[int] = []
-        resp_dport: list[int] = []
-        resp_seq: list[int] = []
-        resp_ack: list[int] = []
-        i = 0
-        while i < n:
-            sip = src_ip_list[i]
-            sport = src_port_list[i]
-            key = (sip, sport)
-            if key in self.half_open:
-                i += 1
-                continue  # duplicate SYN; SYN-ACK already in flight
-            if (
-                self.syn_cookies_enabled
-                and len(self.half_open) >= self._cookie_watermark
-            ):
-                self.syn_cookies_sent += 1
-                self.stack._obs_syn_cookies.inc()
-                resp_dst.append(sip)
-                resp_dport.append(sport)
-                resp_seq.append(self._cookie_isn(sip, sport))
-                resp_ack.append((seq_list[i] + 1) & 0xFFFFFFFF)
-                i += 1
-                continue
-            if len(self.half_open) >= self.backlog:
-                break  # saturated: the rest of the train is only counted
-            timeout = self.stack.sim.schedule(
-                SYN_RCVD_TIMEOUT,
-                self._expire,
-                key,
-                priority=Simulator.PRIORITY_TIMER,
-            )
-            self.half_open[key] = timeout
-            isn = self.stack.initial_sequence()
-            self._isns[key] = isn
-            resp_dst.append(sip)
-            resp_dport.append(sport)
-            resp_seq.append(isn)
-            resp_ack.append((seq_list[i] + 1) & 0xFFFFFFFF)
-            i += 1
-        if i < n:
-            tail = zip(src_ip_list[i:], src_port_list[i:])
-            dropped = (n - i) - sum(map(self.half_open.__contains__, tail))
-            self.syn_dropped += dropped
-            self.stack._obs_syn_dropped.inc(dropped)
-        if resp_dst:
-            self.stack.send_segment_batch(
-                PacketBatch.tcp_batch(
-                    len(resp_dst),
-                    src_ip=self.stack.node.address.value,
-                    dst_ip=np.asarray(resp_dst, dtype=np.int64),
-                    src_port=self.port,
-                    dst_port=np.asarray(resp_dport, dtype=np.int64),
-                    seq=np.asarray(resp_seq, dtype=np.int64),
-                    ack=np.asarray(resp_ack, dtype=np.int64),
-                    flags=TcpFlags.SYN | TcpFlags.ACK,
-                    provenance=self.stack.default_provenance or Provenance(),
-                )
-            )
-
     def _promote(self, packet: Packet, isn: int) -> "TcpSocket":
         """Build the established socket for a completed handshake."""
         assert packet.ip is not None and packet.tcp is not None
@@ -313,9 +228,6 @@ class TcpSocket:
     * ``on_data(sock, payload, length, app_data)`` — an in-order segment
       arrived; ``length`` counts virtual payload bytes, ``payload`` holds
       the literal bytes (may be shorter for virtual bulk data);
-    * ``on_data_batch(sock, batch)`` — an in-order *train* of data
-      segments arrived at once (batch delivery); when unset, the train
-      falls back to one ``on_data`` call per segment;
     * ``on_close(sock)`` — peer finished sending (FIN received);
     * ``on_reset(sock)`` — connection aborted.
     """
@@ -336,7 +248,6 @@ class TcpSocket:
         self.provenance: Provenance | None = None
         self.on_established: Callable[[TcpSocket], None] | None = None
         self.on_data: Callable[[TcpSocket, bytes, int, object | None], None] | None = None
-        self.on_data_batch: Callable[[TcpSocket, PacketBatch], None] | None = None
         self.on_close: Callable[[TcpSocket], None] | None = None
         self.on_reset: Callable[[TcpSocket], None] | None = None
         self._unsent: deque[_SendItem] = deque()
@@ -346,7 +257,6 @@ class TcpSocket:
         self._retries = 0
         self._rto = RTO_INITIAL
         self._fin_queued = False
-        self._pump_deferred = False
         self._handshake_span = None
 
     # ------------------------------------------------------------------
@@ -403,9 +313,7 @@ class TcpSocket:
                     payload=literal,
                     # The whole buffer was pushed by one application
                     # write, so every segment carries PSH (as stacks
-                    # that map one write to one push do).  Keeping the
-                    # message flag-uniform also lets a send window leave
-                    # as a single train instead of train + scalar tail.
+                    # that map one write to one push do).
                     flags=ack_psh,
                     app_data=app_data if is_last else None,
                 )
@@ -442,26 +350,14 @@ class TcpSocket:
     # Segment transmission
 
     def _pump(self) -> None:
-        """Transmit queued segments up to the send window.
-
-        In batch mode (``stack.batch_segments``) the window's worth of
-        segments is collected first and emitted as flag-uniform
-        :class:`PacketBatch` trains — per-packet content identical to the
-        scalar emissions, in the same queue order.
-        """
-        pending: list[_SendItem] | None = [] if self.stack.batch_segments else None
+        """Transmit queued segments up to the send window."""
         while self._unsent and self.inflight_bytes < SEND_WINDOW_BYTES:
             item = self._unsent.popleft()
             item.seq = self.snd_nxt
             self.snd_nxt = (self.snd_nxt + item.length) & 0xFFFFFFFF
             self._inflight.append(item)
             self._inflight_bytes += item.length
-            if pending is None:
-                self._transmit(item)
-            else:
-                pending.append(item)
-        if pending:
-            self._transmit_runs(pending)
+            self._transmit(item)
         if (
             self._fin_queued
             and not self._unsent
@@ -495,55 +391,6 @@ class TcpSocket:
             payload_len=item.length,
             app_data=item.app_data,
             provenance=self.provenance,
-        )
-
-    def _transmit_runs(self, items: list[_SendItem]) -> None:
-        """Emit collected segments as maximal flag-uniform trains.
-
-        A bulk ``send()`` queues N-1 plain ACK segments and one final
-        ACK|PSH carrier, so the common emission is one long train plus a
-        scalar tail; singleton runs go through the scalar twin untouched.
-        """
-        i = 0
-        n = len(items)
-        while i < n:
-            j = i + 1
-            while j < n and items[j].flags == items[i].flags:
-                j += 1
-            if j - i >= 2:
-                self._transmit_batch(items[i:j])
-            else:
-                self._transmit(items[i])
-            i = j
-
-    def _transmit_batch(self, items: list[_SendItem]) -> None:
-        """Emit a flag-uniform segment run as one PacketBatch train."""
-        if not items:
-            return
-        assert self.remote_address is not None and self.remote_port is not None
-        self.bytes_sent += sum(item.length for item in items)
-        payloads = None
-        if any(item.payload for item in items):
-            payloads = tuple(item.payload for item in items)
-        app_data = None
-        if any(item.app_data is not None for item in items):
-            app_data = tuple(item.app_data for item in items)
-        prov = self.provenance or self.stack.default_provenance
-        self.stack.send_segment_batch(
-            PacketBatch.tcp_batch(
-                len(items),
-                src_ip=self.stack.node.address.value,
-                dst_ip=self.remote_address.value,
-                src_port=self.local_port,
-                dst_port=self.remote_port,
-                seq=[item.seq for item in items],
-                ack=self.rcv_nxt,
-                flags=items[0].flags,
-                payload_len=[item.length for item in items],
-                provenance=prov if prov is not None else Provenance(),
-                payloads=payloads,
-                app_data=app_data,
-            )
         )
 
     def _send_flags(self, flags: int, seq: int | None = None) -> None:
@@ -629,158 +476,6 @@ class TcpSocket:
         if tcp.flags & TcpFlags.FIN:
             self._process_fin(tcp.seq)
 
-    def handle_batch(self, batch: PacketBatch) -> None:
-        """Consume a train of segments addressed to this connection.
-
-        The fast path covers the bulk-transfer case — ESTABLISHED state
-        and pure ``ACK``/``ACK|PSH`` flags: acknowledgements process
-        per row (identical window bookkeeping to the scalar twin), the
-        per-row ACK replies coalesce into one response train carrying
-        exactly the scalar per-packet ``(seq, ack)`` values, and the
-        in-order data rows deliver to the app as one ``on_data_batch``
-        call (or per-row ``on_data`` when no batch callback is set).
-        Anything else — handshakes, FIN/RST, mid-close races — falls
-        back to per-packet handling.
-        """
-        n = len(batch)
-        if n == 0:
-            return
-        flags = batch.flags
-        if (
-            self.state is not TcpState.ESTABLISHED
-            or batch.seq is None
-            or batch.ack is None
-            or flags & (TcpFlags.SYN | TcpFlags.RST | TcpFlags.FIN)
-            or not flags & TcpFlags.ACK
-        ):
-            for packet in batch.packets():
-                self.handle(packet)
-            return
-        seqs = batch.seq
-        acks = batch.ack
-        lens = batch.payload_len
-        # Columnar fast paths.  ``_process_ack`` is purely cumulative
-        # (pops below the ack, overwrites snd_una, no RTT estimator), so
-        # a non-decreasing ACK column collapses to one call with the
-        # final ack — bit-identical end state to the row loop.
-        if n > 1 and bool((np.diff(acks) >= 0).all()):
-            if not bool((lens > 0).any()):
-                # Pure ACK train: the receiver's coalesced window acks.
-                self._pump_deferred = True
-                try:
-                    self._process_ack(int(acks[-1]))
-                finally:
-                    self._pump_deferred = False
-                self._pump()
-                return
-            if bool((lens > 0).all()):
-                shifted = np.concatenate(
-                    (np.zeros(1, dtype=np.int64), np.cumsum(lens[:-1], dtype=np.int64))
-                )
-                expected = (int(self.rcv_nxt) + shifted) & np.int64(0xFFFFFFFF)
-                if bool((seqs == expected).all()):
-                    # In-order contiguous data train: advance the window
-                    # once, build the per-row ack replies columnar (the
-                    # exact (snd_nxt, running rcv_nxt) pairs the scalar
-                    # loop would emit — snd_nxt cannot move while the
-                    # pump is deferred), and deliver rows in one call.
-                    self._pump_deferred = True
-                    try:
-                        self._process_ack(int(acks[-1]))
-                    finally:
-                        self._pump_deferred = False
-                    ack_ack_col = ((expected + lens) & np.int64(0xFFFFFFFF)).tolist()
-                    ack_seq_col = [self.snd_nxt] * n
-                    total = int(lens.sum())
-                    self.rcv_nxt = (int(self.rcv_nxt) + total) & 0xFFFFFFFF
-                    self.bytes_received += total
-                    self._pump()
-                    self._flush_ack_train(ack_seq_col, ack_ack_col)
-                    self._deliver_rows(batch, list(range(n)))
-                    return
-        ack_seq: list[int] = []
-        ack_ack: list[int] = []
-        deliver: list[int] = []
-        # Defer the per-ACK pump: row-by-row pumping would reopen the
-        # send window one MSS at a time and dribble out single-segment
-        # "trains".  Processing the whole ACK train first and pumping
-        # once emits the next full window as one train — same segments,
-        # same bytes, one emission.
-        self._pump_deferred = True
-        try:
-            for i in range(n):
-                self._process_ack(int(acks[i]))
-                length = int(lens[i])
-                if length <= 0:
-                    continue
-                if self.state in (TcpState.TIME_WAIT, TcpState.CLOSED, TcpState.LAST_ACK):
-                    # Data after our close: flush what the wire already owes
-                    # (the coalesced ACKs), then abort as the scalar twin
-                    # would on this row.
-                    self._flush_ack_train(ack_seq, ack_ack)
-                    self._deliver_rows(batch, deliver)
-                    self.abort()
-                    return
-                if int(seqs[i]) != self.rcv_nxt:
-                    # Duplicate (retransmitted but already received); re-ack.
-                    ack_seq.append(self.snd_nxt)
-                    ack_ack.append(self.rcv_nxt)
-                    continue
-                self.rcv_nxt = (self.rcv_nxt + length) & 0xFFFFFFFF
-                self.bytes_received += length
-                ack_seq.append(self.snd_nxt)
-                ack_ack.append(self.rcv_nxt)
-                deliver.append(i)
-        finally:
-            self._pump_deferred = False
-        self._pump()
-        self._flush_ack_train(ack_seq, ack_ack)
-        self._deliver_rows(batch, deliver)
-
-    def _flush_ack_train(self, ack_seq: list[int], ack_ack: list[int]) -> None:
-        """Emit the coalesced per-row ACK replies as one train."""
-        if not ack_seq:
-            return
-        assert self.remote_address is not None and self.remote_port is not None
-        if len(ack_seq) == 1:
-            self.stack.send_segment(
-                src_port=self.local_port,
-                dst=self.remote_address,
-                dst_port=self.remote_port,
-                seq=ack_seq[0],
-                ack=ack_ack[0],
-                flags=TcpFlags.ACK,
-                provenance=self.provenance,
-            )
-            return
-        prov = self.provenance or self.stack.default_provenance
-        self.stack.send_segment_batch(
-            PacketBatch.tcp_batch(
-                len(ack_seq),
-                src_ip=self.stack.node.address.value,
-                dst_ip=self.remote_address.value,
-                src_port=self.local_port,
-                dst_port=self.remote_port,
-                seq=ack_seq,
-                ack=ack_ack,
-                flags=TcpFlags.ACK,
-                provenance=prov if prov is not None else Provenance(),
-            )
-        )
-
-    def _deliver_rows(self, batch: PacketBatch, rows: list[int]) -> None:
-        """Hand delivered in-order data rows to the application."""
-        if not rows:
-            return
-        sub = batch if len(rows) == len(batch) else batch.take(
-            np.asarray(rows, dtype=np.int64)
-        )
-        if self.on_data_batch is not None:
-            self.on_data_batch(self, sub)
-        elif self.on_data is not None:
-            for packet in sub.packets():
-                self.on_data(self, packet.payload, packet.data_len, packet.app_data)
-
     def _process_ack(self, ack: int) -> None:
         acked = False
         while self._inflight and _seq_lt(self._inflight[0].seq, ack):
@@ -800,8 +495,7 @@ class TcpSocket:
                 self._teardown()
             elif not self._fin_queued and not self._unsent:
                 self._disarm_retx()
-        if not self._pump_deferred:
-            self._pump()
+        self._pump()
 
     def _process_data(self, packet: Packet) -> None:
         assert packet.tcp is not None
@@ -866,9 +560,6 @@ class TcpStack:
         self.rst_sent = 0
         self.payload_bytes_sent = 0  # monotone app-byte counter (goodput)
         self.default_provenance: Provenance | None = None
-        #: When set, socket send windows emit PacketBatch trains instead
-        #: of per-segment events (the benign-plane batch path).
-        self.batch_segments = False
         ctx = obs.current()
         self._obs_tracer = ctx.tracer
         self._obs_retx = ctx.registry.counter("tcp.retransmissions", node=node.name)
@@ -967,201 +658,6 @@ class TcpStack:
             ack=(tcp.seq + packet.data_len) & 0xFFFFFFFF,
             flags=TcpFlags.RST | TcpFlags.ACK,
         )
-
-    def receive_batch(self, batch: PacketBatch) -> None:
-        """Demultiplex a train with scalar-identical per-packet semantics.
-
-        The fast path needs a uniform ``(dst_ip, dst_port)`` — true for
-        any flood train.  Frames matching an established socket (possible
-        only for non-spoofed sources) are handled first, in consecutive
-        per-connection runs; listener SYN/ACK trains take the batched
-        backlog paths; the remainder draws one batched RST storm, exactly
-        the segments the scalar kernel would emit.  Which rows hit a
-        socket or a half-open entry is read from the columns: only rows
-        that hit are materialised as :class:`Packet`.
-        """
-        n = len(batch)
-        if n == 0:
-            return
-        dst0 = int(batch.dst_ip[0])
-        port0 = int(batch.dst_port[0])
-        if not (
-            bool((batch.dst_ip == dst0).all())
-            and bool((batch.dst_port == port0).all())
-        ):
-            if batch.flags & TcpFlags.RST:
-                self._receive_rst_rows(batch)
-                return
-            for packet in batch.packets():
-                self.receive(packet)
-            return
-        flags = batch.flags
-        idx = None  # rows no socket took, when some socket took a row
-        if self.sockets:
-            src0 = int(batch.src_ip[0])
-            sport0 = int(batch.src_port[0])
-            if (
-                int(batch.src_ip[-1]) == src0
-                and int(batch.src_port[-1]) == sport0
-                and bool((batch.src_ip == src0).all())
-                and bool((batch.src_port == sport0).all())
-            ):
-                # Uniform remote endpoint — every benign bulk-transfer
-                # train — resolves with one dict probe instead of one
-                # per row.
-                sock = self.sockets.get((dst0, port0, src0, sport0))
-                if sock is not None:
-                    if n == 1:
-                        self.receive(batch.packet(0))
-                    else:
-                        sock.handle_batch(batch)
-                    return
-            else:
-                hits = self._socket_rows(batch, dst0, port0)
-                if hits:
-                    self._dispatch_socket_runs(batch, hits, dst0, port0)
-                    if len(hits) == n:
-                        return
-                    unhandled = np.ones(n, dtype=bool)
-                    unhandled[hits] = False
-                    idx = np.flatnonzero(unhandled)
-        if idx is None:
-            idx = np.arange(n)
-        listener = self.listeners.get(port0)
-        is_syn = bool(flags & TcpFlags.SYN) and not flags & TcpFlags.ACK
-        is_ack = bool(flags & TcpFlags.ACK) and not flags & TcpFlags.SYN
-        if listener is not None:
-            if is_syn:
-                listener.handle_syn_batch(
-                    batch.src_ip[idx], batch.src_port[idx], batch.seq[idx]
-                )
-                return
-            if is_ack and (listener.half_open or listener.syn_cookies_enabled):
-                idx = np.asarray(
-                    self._unpromoted_acks(listener, batch, idx.tolist()),
-                    dtype=np.int64,
-                )
-        if flags & TcpFlags.RST or len(idx) == 0:
-            return  # never answer a RST with a RST
-        # Unknown 4-tuples: answer with one RST train, as a real host
-        # would packet by packet — what makes ACK floods draw a storm.
-        self.rst_sent += len(idx)
-        self.send_segment_batch(
-            PacketBatch.tcp_batch(
-                len(idx),
-                src_ip=self.node.address.value,
-                dst_ip=batch.src_ip[idx],
-                src_port=port0,
-                dst_port=batch.src_port[idx],
-                seq=batch.ack[idx] if batch.ack is not None else 0,
-                ack=(
-                    (batch.seq[idx] + batch.payload_len[idx]) & np.int64(0xFFFFFFFF)
-                    if batch.seq is not None
-                    else batch.payload_len[idx] & np.int64(0xFFFFFFFF)
-                ),
-                flags=TcpFlags.RST | TcpFlags.ACK,
-                provenance=self.default_provenance or Provenance(),
-            )
-        )
-
-    def _receive_rst_rows(self, batch: PacketBatch) -> None:
-        """A RST train with mixed destinations, row by row in order.
-
-        A RST that matches no socket and no listener has no effect in
-        :meth:`receive`, so only the other rows are materialised and
-        received, each probed against the tables as earlier rows left
-        them.
-        """
-        sockets = self.sockets
-        listeners = self.listeners
-        keys = zip(
-            batch.dst_ip.tolist(),
-            batch.dst_port.tolist(),
-            batch.src_ip.tolist(),
-            batch.src_port.tolist(),
-        )
-        for i, key in enumerate(keys):
-            if key in sockets or key[1] in listeners:
-                self.receive(batch.packet(i))
-
-    def _socket_rows(self, batch: PacketBatch, dst0: int, port0: int) -> list[int]:
-        """Rows of a mixed-source train that belong to an established
-        socket on ``(dst0, port0)``, in row order."""
-        n = len(batch)
-        keys = zip(
-            repeat(dst0, n), repeat(port0, n),
-            batch.src_ip.tolist(), batch.src_port.tolist(),
-        )
-        return list(compress(range(n), map(self.sockets.__contains__, keys)))
-
-    def _unpromoted_acks(
-        self, listener: TcpListener, batch: PacketBatch, rows: list[int]
-    ) -> list[int]:
-        """Offer ACK rows to ``listener`` in order; return those nobody took.
-
-        With cookies off, an ACK whose peer is not half-open is a no-op
-        for :meth:`TcpListener.handle_ack`, so only rows that hit
-        ``half_open`` are materialised.  A row whose peer an earlier row
-        of this train promoted goes to that new socket, as in
-        :meth:`receive`.
-        """
-        sockets = self.sockets
-        half_open = listener.half_open
-        local = (int(batch.dst_ip[0]), listener.port)
-        peers = list(zip(batch.src_ip.tolist(), batch.src_port.tolist()))
-        leftover: list[int] = []
-        for i in rows:
-            peer = peers[i]
-            if sockets and local + peer in sockets:
-                self.receive(batch.packet(i))
-            elif not (
-                (peer in half_open or listener.syn_cookies_enabled)
-                and listener.handle_ack(batch.packet(i)) is not None
-            ):
-                leftover.append(i)
-        return leftover
-
-    def _dispatch_socket_runs(
-        self, batch: PacketBatch, rows: list[int], dst0: int, port0: int
-    ) -> None:
-        """Deliver established-socket rows, grouping consecutive runs.
-
-        Rows from one remote endpoint arriving back to back — the shape
-        of every bulk-transfer train — reach the socket as a single
-        :meth:`TcpSocket.handle_batch` call; isolated rows keep the
-        scalar materialise-and-receive path.  Sockets are re-looked-up
-        per run because an earlier run may tear its connection down.
-        """
-        remotes = zip(batch.src_ip[rows].tolist(), batch.src_port[rows].tolist())
-        for remote, run in groupby(zip(remotes, rows), key=itemgetter(0)):
-            run_rows = [row for _, row in run]
-            if len(run_rows) == 1:
-                self.receive(batch.packet(run_rows[0]))
-                continue
-            sock = self.sockets.get((dst0, port0, *remote))
-            if sock is None:
-                for i in run_rows:
-                    self.receive(batch.packet(i))
-                continue
-            sock.handle_batch(batch.take(np.asarray(run_rows, dtype=np.int64)))
-
-    def send_segment_batch(self, batch: PacketBatch) -> int:
-        """Route a pre-built TCP train; returns frames accepted.
-
-        Goodput accounting mirrors the scalar path exactly: each routed
-        group reports how many of its leading frames the device queue
-        accepted (queues take prefixes), and only those frames' payload
-        bytes count — so batched TCP deliveries add to the victim's
-        goodput columns once per packet, never once per train.
-        """
-        if len(batch) == 0:
-            return 0
-
-        def _account(sub: PacketBatch, taken: int) -> None:
-            if taken:
-                self.payload_bytes_sent += int(sub.payload_len[:taken].sum())
-
-        return self.node.send_ipv4_batch(batch, on_accepted=_account)
 
     def send_segment(
         self,

@@ -7,8 +7,8 @@ on a channel captures the flat per-packet facts of a
 consumes — and can simultaneously stream the raw frames to a
 :class:`PcapWriter`, which emits genuine libpcap files readable by
 Wireshark/tcpdump (DDoSim's external-analysis workflow).
-:func:`packet_fields` and :func:`train_fields` are the one field
-extraction, shared by the probe and the live IDS tap.
+:func:`packet_fields` is the one field extraction, shared by the probe
+and the live IDS tap; both see one delivered frame per call.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ import struct
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-import numpy as np
-
-from repro.sim.packet import PROTO_TCP, PROTO_UDP, Packet, PacketBatch, TcpFlags
+from repro.sim.packet import PROTO_TCP, PROTO_UDP, Packet, TcpFlags
 
 PCAP_MAGIC = 0xA1B2C3D2  # nanosecond-resolution variant
 PCAP_LINKTYPE_ETHERNET = 1
@@ -109,36 +107,11 @@ def packet_fields(packet: Packet, timestamp: float) -> tuple:
     )
 
 
-def train_fields(batch: PacketBatch, times: np.ndarray) -> tuple[list, ...]:
-    """A train's :class:`PacketRecord` field values: one list per field.
-
-    Row ``i`` equals :func:`packet_fields` of ``batch.packet(i)`` at
-    ``times[i]``, taken from the batch's columns without materialising
-    packets.
-    """
-    n = len(batch)
-    tcp = batch.protocol == PROTO_TCP
-    return (
-        times.tolist(),
-        batch.src_ip.tolist(),
-        batch.dst_ip.tolist(),
-        [batch.protocol] * n,
-        batch.src_port.tolist(),
-        batch.dst_port.tolist(),
-        batch.sizes.tolist(),
-        [batch.flags if tcp else 0] * n,
-        batch.seq.tolist() if (tcp and batch.seq is not None) else [0] * n,
-        [1 if batch.provenance.malicious else 0] * n,
-        [batch.provenance.attack] * n,
-    )
-
-
 class PacketProbe:
     """Promiscuous channel tap capturing packets as columns.
 
     The capture is one columnar buffer, :attr:`columns`: a list per
-    :class:`PacketRecord` field, appended in arrival order by scalar
-    captures and extended with whole trains by :meth:`observe_batch`.
+    :class:`PacketRecord` field, appended in arrival order.
     :meth:`drain_columns` hands it over (the testbed turns it into a
     :class:`~repro.features.columnar.RecordBatch`); :attr:`records`
     builds :class:`PacketRecord` rows from it on demand.
@@ -179,25 +152,6 @@ class PacketProbe:
                 column.append(value)
         if self.pcap is not None:
             self.pcap.write(packet, timestamp)
-
-    def observe_batch(self, batch: PacketBatch, times: np.ndarray) -> None:
-        """Record a delivered train using its exact per-frame instants.
-
-        Appends the same field values, in the same order, as ``n`` scalar
-        calls would — but takes them from the batch's int64 columns
-        without materialising packets (unless a pcap writer needs the
-        wire bytes).
-        """
-        n = len(batch)
-        if n == 0:
-            return
-        self.count += n
-        if self.keep_records:
-            for column, values in zip(self.columns, train_fields(batch, times)):
-                column.extend(values)
-        if self.pcap is not None:
-            for i in range(n):
-                self.pcap.write(batch.packet(i), float(times[i]))
 
     def clear(self) -> None:
         for column in self.columns:

@@ -2,22 +2,16 @@
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
 from repro.sim.address import Ipv4Address
-from repro.sim.packet import PROTO_UDP, Ipv4Header, Packet, PacketBatch, Provenance, UdpHeader
+from repro.sim.packet import PROTO_UDP, Ipv4Header, Packet, Provenance, UdpHeader
 
 if TYPE_CHECKING:
     from repro.sim.node import Node
 
 #: Receive callback: (socket, payload bytes, virtual length, src ip, src port).
 RecvFn = Callable[["UdpSocket", bytes, int, Ipv4Address, int], None]
-
-#: Batch receive callback: (socket, train of datagrams bound to this port).
-RecvBatchFn = Callable[["UdpSocket", PacketBatch], None]
 
 
 class UdpSocket:
@@ -27,7 +21,6 @@ class UdpSocket:
         self.stack = stack
         self.port = port
         self.on_receive: RecvFn | None = None
-        self.on_receive_batch: RecvBatchFn | None = None
         self.provenance: Provenance | None = None
         self.datagrams_sent = 0
         self.datagrams_received = 0
@@ -52,20 +45,6 @@ class UdpSocket:
             provenance=self.provenance,
         )
 
-    def send_to_batch(self, batch: PacketBatch) -> int:
-        """Send a pre-built train from this socket; returns frames accepted.
-
-        The train's ``src_port`` column must already equal this socket's
-        port; provenance falls back to the socket's like :meth:`send_to`.
-        """
-        n = len(batch)
-        if n == 0:
-            return 0
-        self.datagrams_sent += n
-        if self.provenance is not None and batch.provenance is not self.provenance:
-            batch = batch._replace_columns(provenance=self.provenance)
-        return self.stack.send_datagram_batch(batch)
-
     def handle(self, packet: Packet) -> None:
         assert packet.ip is not None and packet.udp is not None
         self.datagrams_received += 1
@@ -77,27 +56,6 @@ class UdpSocket:
                 packet.ip.src,
                 packet.udp.src_port,
             )
-
-    def handle_batch(self, batch: PacketBatch) -> None:
-        """Consume a train bound to this port in one callback when the
-        app installed ``on_receive_batch``; per-row fallback otherwise."""
-        n = len(batch)
-        if n == 0:
-            return
-        self.datagrams_received += n
-        if self.on_receive_batch is not None:
-            self.on_receive_batch(self, batch)
-            return
-        if self.on_receive is not None:
-            for packet in batch.packets():
-                assert packet.ip is not None and packet.udp is not None
-                self.on_receive(
-                    self,
-                    packet.payload,
-                    packet.data_len,
-                    packet.ip.src,
-                    packet.udp.src_port,
-                )
 
     def close(self) -> None:
         self.stack.sockets.pop(self.port, None)
@@ -136,49 +94,6 @@ class UdpStack:
             self.unreachable += 1
             return
         sock.handle(packet)
-
-    def receive_batch(self, batch: PacketBatch) -> None:
-        """Demultiplex a train: consecutive same-port runs reach their
-        socket as one :meth:`UdpSocket.handle_batch` call (the shape of
-        batched chatter), misses count without being materialised."""
-        n = len(batch)
-        if n == 0:
-            return
-        if not self.sockets:
-            self.unreachable += n
-            return
-        dports = batch.dst_port
-        p0 = int(dports[0])
-        if int(dports[-1]) == p0 and bool((dports == p0).all()):
-            # Uniform destination port — one dict probe, no regroup.
-            sock = self.sockets.get(p0)
-            if sock is None:
-                self.unreachable += n
-                return
-            sock.handle_batch(batch)
-            return
-        hit_idx = np.fromiter(
-            compress(range(n), map(self.sockets.__contains__, dports.tolist())),
-            dtype=np.int64,
-        )
-        self.unreachable += n - len(hit_idx)
-        if not len(hit_idx):
-            return
-        ports = dports[hit_idx]
-        starts = [0] + (np.flatnonzero(ports[1:] != ports[:-1]) + 1).tolist()
-        starts.append(int(ports.shape[0]))
-        for a, b in zip(starts[:-1], starts[1:]):
-            sock = self.sockets.get(int(ports[a]))
-            if sock is None:
-                self.unreachable += b - a  # closed by an earlier run
-                continue
-            sock.handle_batch(batch.take(hit_idx[a:b]))
-
-    def send_datagram_batch(self, batch: PacketBatch) -> int:
-        """Route a pre-built UDP train; returns frames accepted."""
-        if len(batch) == 0:
-            return 0
-        return self.node.send_ipv4_batch(batch)
 
     def send_datagram(
         self,

@@ -57,13 +57,7 @@ class TestbedError(RuntimeError):
 
 
 class _LiveTapRx:
-    """RX callback feeding the live IDS, batched trains included.
-
-    Exposing ``observe_batch`` lets the device hand whole
-    :class:`~repro.sim.packet.PacketBatch` trains (with their exact
-    per-frame delivery instants) straight to the IDS instead of
-    materialising every packet at the tap.
-    """
+    """RX callback feeding the live IDS each frame at its delivery instant."""
 
     __slots__ = ("ids", "sim")
 
@@ -73,9 +67,6 @@ class _LiveTapRx:
 
     def __call__(self, frame) -> None:
         self.ids(frame, self.sim.now)
-
-    def observe_batch(self, batch, times) -> None:
-        self.ids.observe_batch(batch, times)
 
 
 class Testbed:
@@ -161,7 +152,6 @@ class Testbed:
         self.dns = self.tserver.exec(DnsServer())
         self.ntp = self.tserver.exec(NtpServer())
         self.tserver.node.tcp.seed(scenario.seed + 1)
-        self.tserver.node.tcp.batch_segments = scenario.batch_benign
 
         self.attacker = self.orchestrator.run("attacker", Image("ddoshield/attacker"))
         self.attacker.node.tcp.seed(scenario.seed + 2)
@@ -185,7 +175,6 @@ class Testbed:
         for i in range(scenario.n_devices):
             dev = self.orchestrator.run(f"dev-{i}", Image("ddoshield/dev"))
             dev.node.tcp.seed(scenario.seed + 10 + i)
-            dev.node.tcp.batch_segments = scenario.batch_benign
             user, password = random_credential(scenario.seed * 1000 + i)
             telnet = VulnerableTelnet(
                 user, password, on_infected=self._make_infection_hook(dev, i)
@@ -207,11 +196,10 @@ class Testbed:
                     mean_dns_interval=scenario.mean_dns_interval,
                     seed=scenario.seed * 77 + i,
                     start_delay=self._rng.uniform(0.0, 1.0),
-                    # Look ahead ~4 expected arrivals per tick so batch
-                    # mode forms real trains; scalar emissions keep their
-                    # exact arrival instants regardless of the tick.
+                    # The tick only bounds how far ahead arrivals are
+                    # booked: each datagram leaves at its own arrival
+                    # instant, whatever the tick.
                     tick=4.0 * scenario.mean_dns_interval,
-                    batch=scenario.batch_benign,
                 )
             )
             self.devices.append(dev)
@@ -236,7 +224,6 @@ class Testbed:
                 report_credentials=self._on_credentials_found
                 if self.scenario.self_propagate
                 else None,
-                batch_floods=self.scenario.batch_floods,
             )
             dev.exec(bot)
             self.bots.append(bot)
@@ -454,7 +441,7 @@ class Testbed:
             ids_container="ids",
         )
         # The live tap: the IDS container's promiscuous device feeds the
-        # IDS its frames and trains.  Kill/partition of the container
+        # IDS its frames.  Kill/partition of the container
         # detaches the device and blinds the tap — exactly the failure
         # the fallback state machine covers.
         device = ids_container.node.interfaces[0].device

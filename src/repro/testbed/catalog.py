@@ -5,8 +5,9 @@ a dozen CLI knobs, experiments name a recipe — ``ddoshield campaign
 --catalog urban-smoke`` — and get the exact same :class:`Scenario` every
 time.  The flagship entry is ``urban-4060``, the urban-IoT emulation
 scale of Hekmati et al. (arXiv 2110.01842): 4060 devices on a segmented
-topology with a realistic benign mix and the Mirai flood overlay, run
-entirely on the batch plane (``batch_floods`` + ``batch_benign``).
+topology with a realistic benign mix and the Mirai flood overlay.  Every
+recipe runs the one data plane, one frame per event, so a recipe and a
+seed name exactly one dataset.
 
 Every entry is a factory so catalog scenarios are immutable-by-copy;
 ``get_scenario(name, **overrides)`` applies field overrides (e.g. a CI
@@ -27,14 +28,12 @@ _URBAN_SEGMENT = 58
 
 
 def _urban(n_devices: int, devices_per_segment: int = _URBAN_SEGMENT) -> Scenario:
-    """The urban-IoT shape: segmented topology, mixed benign plane,
-    batch kernel end to end (floods and benign)."""
+    """The urban-IoT shape: segmented topology and a denser, mixed
+    benign plane under the Mirai flood overlay."""
     return Scenario(
         n_devices=n_devices,
         seed=7,
         devices_per_segment=min(devices_per_segment, n_devices),
-        batch_floods=True,
-        batch_benign=True,
         # A denser benign plane than the paper-scale default: urban
         # deployments chatter constantly (Hekmati et al. model per-device
         # event streams, not idle sensors).

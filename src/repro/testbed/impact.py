@@ -53,11 +53,7 @@ class ImpactSeries:
 
 
 class _FrameTap:
-    """Device RX callback counting bytes, scalar or per-train.
-
-    ``observe_batch`` keeps a :class:`~repro.sim.packet.PacketBatch`
-    train from being materialised packet by packet just to be sized.
-    """
+    """Device RX callback counting received bytes."""
 
     __slots__ = ("monitor",)
 
@@ -66,11 +62,6 @@ class _FrameTap:
 
     def __call__(self, frame) -> None:
         self.monitor._rx_bytes_total += frame.size
-
-    def observe_batch(self, batch, times) -> None:
-        if len(batch) == 0:
-            return
-        self.monitor._rx_bytes_total += float(batch.sizes.sum())
 
 
 class VictimMonitor(Process):
@@ -85,7 +76,7 @@ class VictimMonitor(Process):
     ``t_start + k*interval`` (:meth:`~repro.sim.core.Simulator.schedule_periodic`)
     rather than drifting by one float ulp per re-schedule, so sample
     timestamps — and therefore window boundaries in defense benchmarks —
-    are identical between scalar and batched runs of the same seed.
+    land on exact multiples of the interval however long the run.
     """
 
     name = "victim-monitor"

@@ -61,13 +61,6 @@ class Scenario:
     # Botnet
     cnc_port: int = 2323
     self_propagate: bool = False
-    # Flood emission: True makes bots emit PacketBatch trains (identical
-    # per-seed packet counts and window verdicts, far fewer sim events).
-    batch_floods: bool = False
-    # Benign-plane emission: True batches the benign side too — TCP send
-    # windows leave as PacketBatch trains and device chatter coalesces
-    # per-tick emissions (same per-packet traffic, far fewer sim events).
-    batch_benign: bool = False
     # Hierarchical topology: devices per leaf CSMA segment behind a
     # router on the backbone; 0 keeps the paper's flat single-segment
     # LAN (the seed-stable default).

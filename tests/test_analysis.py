@@ -211,14 +211,14 @@ class TestReporting:
             iter_rules(only=["NOPE999"])
 
     def test_parity_rules_live_in_their_own_category(self):
-        """``ddoshield lint`` never runs BAT*/ORD002 and vice versa."""
+        """``ddoshield lint`` never runs ORD002 and vice versa."""
         determinism = {r.rule_id for r in iter_rules(category="determinism")}
         parity = {r.rule_id for r in iter_rules(category="parity")}
-        assert parity == {"BAT001", "BAT002", "BAT003", "BAT004", "ORD002"}
+        assert parity == {"ORD002"}
         assert not determinism & parity
-        # A textbook BAT001 divergence is invisible to the default linter.
-        source = (FIXTURES / "parity_drift.py").read_text()
-        findings, _ = lint_source(source, path="tests/lint_fixtures/parity_drift.py")
+        # A textbook ORD002 race is invisible to the default linter.
+        source = (FIXTURES / "ord002_race.py").read_text()
+        findings, _ = lint_source(source, path="tests/lint_fixtures/ord002_race.py")
         assert findings == []
 
 

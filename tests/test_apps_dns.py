@@ -72,10 +72,9 @@ def test_deterministic_by_seed(env):
 
 
 # ---------------------------------------------------------------------------
-# Look-ahead tick bit-exactness: the anchored ticker is a pure batching /
-# look-ahead knob.  Scalar emissions keep their exact Poisson arrival
-# instants for ANY tick, batch mode emits the same contents as trains,
-# and both modes consume the RNG identically.
+# Look-ahead tick bit-exactness: the anchored ticker is a pure look-ahead
+# knob.  Emissions keep their exact Poisson arrival instants for ANY
+# tick, and consume the RNG identically.
 # ---------------------------------------------------------------------------
 
 
@@ -90,14 +89,8 @@ class _RecordingChatter(UdpChatter):
         self.emitted.append((self.sim.now, port, length, tag))
         super()._emit_one(port, length, tag)
 
-    def _emit_train(self, ports, lengths, tags):
-        self.emitted.extend(
-            (self.sim.now, p, ln, t) for p, ln, t in zip(ports, lengths, tags)
-        )
-        super()._emit_train(ports, lengths, tags)
 
-
-def _run_chatter(seed, *, batch, tick=None, until=40.0, delay=0.25):
+def _run_chatter(seed, *, tick=None, until=40.0, delay=0.25):
     import random as _random
 
     from repro.sim import Simulator, CsmaLan
@@ -118,7 +111,6 @@ def _run_chatter(seed, *, batch, tick=None, until=40.0, delay=0.25):
             seed=seed,
             start_delay=delay,
             tick=tick,
-            batch=batch,
         )
     )
     sim.run(until=until)
@@ -147,7 +139,7 @@ def _replay_poisson_chain(seed, *, mean_dns=0.4, mean_ntp=1.5, delay=0.25, until
 def test_scalar_emissions_land_at_exact_poisson_instants():
     """Look-ahead booking never quantizes: every scalar datagram leaves at
     the exact arrival instant of the old self-rescheduling chain."""
-    chatter = _run_chatter(11, batch=False)
+    chatter = _run_chatter(11)
     expected = _replay_poisson_chain(11)
     got = chatter.emitted
     assert got == expected[: len(got)]
@@ -158,37 +150,8 @@ def test_scalar_emissions_land_at_exact_poisson_instants():
 def test_scalar_emissions_invariant_to_tick_choice():
     """The tick bounds the look-ahead only — bit-identical scalar output
     (times included) for wildly different tick widths."""
-    a = _run_chatter(7, batch=False, tick=0.3)
-    b = _run_chatter(7, batch=False, tick=5.0)
+    a = _run_chatter(7, tick=0.3)
+    b = _run_chatter(7, tick=5.0)
     assert a.emitted == b.emitted
     assert a.queries_sent == b.queries_sent
     assert a.rng.getstate() == b.rng.getstate()
-
-
-def test_batch_emissions_are_bit_exact_twins_of_scalar():
-    """Batch trains carry the same datagrams in the same order as the
-    scalar twin (timestamps coalesce to the window's last arrival), the
-    booking-time counters agree exactly, and both modes leave the RNG in
-    the same state."""
-    scalar = _run_chatter(23, batch=False, tick=2.0)
-    batch = _run_chatter(23, batch=True, tick=2.0)
-    strip = lambda rows: [(p, ln, t) for _, p, ln, t in rows]
-    s_rows, b_rows = strip(scalar.emitted), strip(batch.emitted)
-    # batch may still hold the final window's train when the run cuts off
-    assert b_rows == s_rows[: len(b_rows)]
-    assert len(s_rows) - len(b_rows) <= 16
-    assert batch.queries_sent == scalar.queries_sent
-    assert batch.rng.getstate() == scalar.rng.getstate()
-    # train emission never reorders inside a window: times are sorted
-    times = [t for t, *_ in batch.emitted]
-    assert times == sorted(times)
-
-
-def test_batch_train_fires_at_window_last_arrival():
-    scalar = _run_chatter(31, batch=False, tick=2.0)
-    batch = _run_chatter(31, batch=True, tick=2.0)
-    s_times = {round(t, 12) for t, *_ in scalar.emitted}
-    # every batch emission instant is one of the scalar arrival instants
-    # (the last of its window) — never an invented timestamp
-    for t, *_ in batch.emitted:
-        assert round(t, 12) in s_times

@@ -352,7 +352,7 @@ class TestWindowAggregator:
     def test_matches_row_oracle(self, chunks, window_seconds):
         """The columnar assembler against the record-at-a-time one: the
         same windows (column bytes), emitted in the same order during
-        the same ``add`` call or train chunk, with the same counters."""
+        the same chunk of ``add`` calls, with the same counters."""
         chunk_no = 0
         emitted: dict[str, list] = {"oracle": [], "columnar": []}
 
@@ -373,10 +373,7 @@ class TestWindowAggregator:
                 continue
             for row in rows:
                 oracle.add(row)
-            if kind == "train":
-                columnar.extend([list(column) for column in zip(*rows)])
-            else:
-                columnar.add(rows[0])
+                columnar.add(row)
         chunk_no = len(chunks)
         oracle.flush()
         columnar.flush()

@@ -44,7 +44,6 @@ def _profiled_flood(seed: int = 7, n_nodes: int = 8):
     with obs.scope(ctx):
         run = build_and_run_flood(
             n_nodes=n_nodes,
-            batch=True,
             pps_per_node=2000.0,
             duration=0.05,
             seed=seed,
@@ -153,12 +152,6 @@ class TestKernelProfiler:
         assert first.profiler.collapsed_stacks(include_wall=False) == second.profiler.collapsed_stacks(
             include_wall=False
         )
-
-    def test_batch_stats_see_trains(self):
-        _, ctx = _profiled_flood()
-        batch = ctx.profiler.batch_stats()
-        assert batch["trains"] > 0
-        assert batch["mean_train_packets"] > 1.0
 
     def test_collapsed_stacks_shape(self):
         _, ctx = _profiled_flood()
@@ -333,13 +326,7 @@ def _flood_result(pps: float, nodes: int = 16) -> dict:
         "duration_seconds": 0.05,
         "seed": 7,
         "attack": "syn",
-        "runs": [
-            {
-                "nodes": nodes,
-                "batch": {"packets_per_second": pps},
-                "speedup_packets_per_second": pps / 1000.0,
-            }
-        ],
+        "runs": [{"nodes": nodes, "scalar": {"packets_per_second": pps}}],
     }
 
 
@@ -396,18 +383,11 @@ class TestBenchHistory:
     def test_extract_metrics_directions(self):
         metrics = extract_metrics(
             {
-                "runs": [
-                    {
-                        "nodes": 16,
-                        "batch": {"packets_per_second": 9000.0},
-                        "speedup_packets_per_second": 9.0,
-                    }
-                ],
+                "runs": [{"nodes": 16, "scalar": {"packets_per_second": 9000.0}}],
                 "per_window_latency": {"speedup": 8.7, "vectorized_mean_ms": 0.4},
             }
         )
-        assert metrics["nodes16.batch_pkts_per_s"] == (9000.0, "higher")
-        assert metrics["nodes16.speedup"] == (9.0, "higher")
+        assert metrics["nodes16.scalar_pkts_per_s"] == (9000.0, "higher")
         assert metrics["window.vectorized_mean_ms"] == (0.4, "lower")
 
 
@@ -419,7 +399,7 @@ class TestBenchCompare:
         comparison = compare_section(load_history(path), "flood", tolerance=0.30)
         assert not comparison.ok
         names = {delta.name for delta in comparison.regressions}
-        assert "nodes16.batch_pkts_per_s" in names
+        assert "nodes16.scalar_pkts_per_s" in names
 
     def test_within_tolerance_passes(self, tmp_path):
         path = tmp_path / "BENCH.json"

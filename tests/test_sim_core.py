@@ -96,14 +96,6 @@ class TestNanTimesRejected:
             sim.schedule_abs(self.NAN, lambda: None)
         assert sim.pending_events == 0
 
-    def test_schedule_batch_rejects_any_nan_delay(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError, match="nan"):
-            sim.schedule_batch([0.5, self.NAN], lambda: None)
-        with pytest.raises(SimulationError, match="nan"):
-            sim.schedule_batch_abs([self.NAN, 1.0], lambda: None)
-        assert sim.pending_events == 0
-
     def test_schedule_periodic_rejects_nan_interval(self):
         sim = Simulator()
         with pytest.raises(SimulationError, match="nan"):
@@ -114,7 +106,8 @@ class TestNanTimesRejected:
         sim = Simulator()
         seen = []
         sim.schedule(0.0, seen.append, "now")
-        sim.schedule_batch([0.5, 0.25], seen.append, [("b",), ("a",)])
+        sim.schedule(0.5, seen.append, "b")
+        sim.schedule_abs(0.25, seen.append, "a")
         sim.run()
         assert seen == ["now", "a", "b"]
 
@@ -142,18 +135,6 @@ class TestInfiniteTimesRejected:
             sim.schedule_abs(self.INF, lambda: None)
         with pytest.raises(SimulationError):
             sim.schedule_abs(-self.INF, lambda: None)
-        assert sim.pending_events == 0
-
-    def test_schedule_batch_rejects_any_infinite_delay(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError, match="finite"):
-            sim.schedule_batch([1.0, self.INF], lambda: None)
-        assert sim.pending_events == 0
-
-    def test_schedule_batch_abs_rejects_any_infinite_time(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError, match="finite"):
-            sim.schedule_batch_abs([self.INF, 1.0], lambda: None)
         assert sim.pending_events == 0
 
     def test_schedule_periodic_rejects_infinite_interval_and_anchor(self):
