@@ -13,6 +13,7 @@ delivery time — the analogue of sniffing the TServer's switch port.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Callable
 
 from repro.sim.address import BROADCAST_MAC, Ipv4Address, MacAddress
@@ -78,7 +79,9 @@ class CsmaChannel:
         self._by_mac: dict[int, CsmaNetDevice] = {}
         self._promiscuous: list[CsmaNetDevice] = []
         self._busy = False
-        self._waiting: list[CsmaNetDevice] = []
+        #: Devices waiting for the medium, in FIFO order.  A device is in
+        #: it exactly when its ``waiting`` flag is set.
+        self._waiting: deque[CsmaNetDevice] = deque()
         self._probes: list[ProbeFn] = []
         self.frames_delivered = 0
         #: Optional fault injector consulted per frame (repro.faults).
@@ -111,8 +114,9 @@ class CsmaChannel:
         if device in self._devices:
             self._devices.remove(device)
             self._by_mac.pop(device.mac.value, None)
-        if device in self._waiting:
+        if device.waiting:
             self._waiting.remove(device)
+            device.waiting = False
         if device in self._promiscuous:
             self._promiscuous.remove(device)
         device.attached = False
@@ -172,9 +176,11 @@ class CsmaChannel:
 
     def request(self, device: "CsmaNetDevice") -> None:
         """A device with a non-empty queue asks for the medium."""
-        if device not in self._waiting:
+        if not device.waiting:
+            device.waiting = True
             self._waiting.append(device)
-        self._serve()
+        if not self._busy:
+            self._serve()
 
     def set_fault_injector(self, injector: "ChannelImpairment | None") -> None:
         """Install (or clear) the per-frame impairment hook."""
@@ -185,10 +191,11 @@ class CsmaChannel:
         self.traffic_filter = filter_
 
     def _serve(self) -> None:
-        if self._busy:
-            return
-        while self._waiting:
-            device = self._waiting.pop(0)
+        """Start the next waiting frame on the idle medium."""
+        waiting = self._waiting
+        while waiting:
+            device = waiting.popleft()
+            device.waiting = False
             frame = device.queue.dequeue()
             if frame is None:
                 continue
@@ -199,8 +206,9 @@ class CsmaChannel:
                 # ACL drop at dequeue: the frame never occupies the wire,
                 # so the sender's remaining frames stay in contention.
                 self.frames_filtered += 1
-                if not device.queue.is_empty and device not in self._waiting:
-                    self._waiting.append(device)
+                if not device.queue.is_empty:
+                    device.waiting = True
+                    waiting.append(device)
                 continue
             self._busy = True
             tx_time = self.transmission_time(frame.size)
@@ -262,6 +270,12 @@ class CsmaNetDevice:
         self.node: "Node | None" = None
         self.promiscuous = False
         self.attached = False
+        #: Set while the device is in the channel's FIFO of waiters.
+        self.waiting = False
+        #: This device's Ethernet headers keyed by destination
+        #: ``MacAddress.value``: immutable, so one per destination serves
+        #: every frame sent to it.
+        self._eth_headers: dict[int, EthernetHeader] = {}
         self.tx_count = 0
         self.rx_count = 0
         self._rx_callbacks: list[Callable[[Packet], None]] = []
@@ -291,7 +305,11 @@ class CsmaNetDevice:
         """
         if not self.attached:
             return False
-        frame = packet.with_eth(EthernetHeader(src=self.mac, dst=dst_mac))
+        try:
+            eth = self._eth_headers[dst_mac.value]
+        except KeyError:
+            eth = self._eth_headers[dst_mac.value] = EthernetHeader(self.mac, dst_mac)
+        frame = packet.with_eth(eth)
         accepted = self.queue.enqueue(frame)
         if accepted:
             self.tx_count += 1

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:
     from repro.analysis.sanitizers import Sanitizer
+    from repro.obs.registry import Counter, Gauge
 
 
 #: Event times must be finite: one event at +inf would set ``now`` to inf
@@ -188,15 +189,22 @@ class Simulator:
         self._compactions = 0
         self.sanitizer: "Sanitizer | None" = make_sanitizer(sanitize)
         self._finalized = False
-        # Telemetry handles are grabbed once here; with the ambient
-        # context disabled they are shared null objects, so the run loop
-        # pays one no-op call per event.  Instrumentation never schedules
-        # events or consumes RNG — outcomes are identical either way.
+        # Telemetry handles are grabbed once here.  With the ambient
+        # registry disabled all four are None, so the run loop and the
+        # schedule calls pay one `is None` check, not a no-op call.
+        # Instrumentation never schedules events or consumes RNG —
+        # outcomes are identical either way.
         ctx = obs.current()
-        self._obs_dispatched = ctx.registry.counter("sim.events_dispatched")
-        self._obs_heap_depth = ctx.registry.gauge("sim.heap_depth")
-        self._obs_compactions = ctx.registry.counter("sim.heap_compactions")
-        self._obs_buckets_drained = ctx.registry.counter("sim.buckets_drained")
+        registry = ctx.registry
+        self._obs_dispatched: Counter | None = None
+        self._obs_heap_depth: Gauge | None = None
+        self._obs_compactions: Counter | None = None
+        self._obs_buckets_drained: Counter | None = None
+        if registry.enabled:
+            self._obs_dispatched = registry.counter("sim.events_dispatched")
+            self._obs_heap_depth = registry.gauge("sim.heap_depth")
+            self._obs_compactions = registry.counter("sim.heap_compactions")
+            self._obs_buckets_drained = registry.counter("sim.buckets_drained")
         # Flight recorder and profiler ride the same ambient context;
         # both default to None so the dispatch sites pay one `is None`
         # check per event when observability is off (bound pinned by
@@ -275,8 +283,9 @@ class Simulator:
             heapq.heapify(self._heap)
             self._cancelled_in_heap = 0
             self._compactions += 1
-            self._obs_compactions.inc()
-            self._obs_heap_depth.set(len(self._heap))
+            if self._obs_compactions is not None:
+                self._obs_compactions.inc()
+                self._obs_heap_depth.set(len(self._heap))
 
     def schedule(
         self,
@@ -301,7 +310,8 @@ class Simulator:
         seq = next(self._seq)
         event = Event(when, priority, seq, callback, args, False, self, True)
         heapq.heappush(self._heap, (when, priority, seq, event))
-        self._obs_heap_depth.set(len(self._heap))
+        if self._obs_heap_depth is not None:
+            self._obs_heap_depth.set(len(self._heap))
         return event
 
     def schedule_abs(
@@ -322,7 +332,8 @@ class Simulator:
         seq = next(self._seq)
         event = Event(when, priority, seq, callback, args, False, self, True)
         heapq.heappush(self._heap, (when, priority, seq, event))
-        self._obs_heap_depth.set(len(self._heap))
+        if self._obs_heap_depth is not None:
+            self._obs_heap_depth.set(len(self._heap))
         return event
 
     def schedule_periodic(
@@ -387,8 +398,9 @@ class Simulator:
                 ):
                     # Fast path: no bucket mates (timers, app think time).
                     self._events_executed += 1
-                    self._obs_dispatched.inc()
-                    self._obs_heap_depth.set(len(heap))
+                    if self._obs_dispatched is not None:
+                        self._obs_dispatched.inc()
+                        self._obs_heap_depth.set(len(heap))
                     if self._flight is not None:
                         self._flight.note_dispatch(when, event.callback)
                     if self._profiler is None:
@@ -412,8 +424,9 @@ class Simulator:
                         self._cancelled_in_heap -= 1
                         continue
                     bucket.append(mate)
-                self._obs_buckets_drained.inc()
-                self._obs_heap_depth.set(len(heap))
+                if self._obs_buckets_drained is not None:
+                    self._obs_buckets_drained.inc()
+                    self._obs_heap_depth.set(len(heap))
                 if self._profiler is not None:
                     self._profiler.note_bucket(len(bucket))
                 if self._shuffle_rng is not None and len(bucket) > 1:
@@ -435,7 +448,8 @@ class Simulator:
                         if self.sanitizer is not None:
                             self.sanitizer.check_event(ev, self._now)
                         self._events_executed += 1
-                        self._obs_dispatched.inc()
+                        if self._obs_dispatched is not None:
+                            self._obs_dispatched.inc()
                         if self._flight is not None:
                             self._flight.note_dispatch(ev.time, ev.callback)
                         if self._profiler is None:

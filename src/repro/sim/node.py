@@ -161,7 +161,8 @@ class Node:
         except NetworkError:
             self.packets_unroutable += 1
             return False
-        if next_hop == iface.network.broadcast:
+        # As ints: a dataclass __eq__ is a Python call, once per routed send.
+        if next_hop.value == iface.network.broadcast.value:
             dst_mac: MacAddress | None = BROADCAST_MAC
         else:
             dst_mac = iface.device.channel.resolve(next_hop)

@@ -30,6 +30,7 @@ from repro.sim.address import Ipv4Address
 from repro.sim.core import Event, Simulator
 from repro.sim.packet import (
     PROTO_TCP,
+    UNKNOWN_ORIGIN,
     Ipv4Header,
     Packet,
     Provenance,
@@ -674,26 +675,14 @@ class TcpStack:
         src: Ipv4Address | None = None,
     ) -> bool:
         """Build and route one TCP segment from this node."""
-        header = TcpHeader(
-            src_port=src_port,
-            dst_port=dst_port,
-            seq=seq & 0xFFFFFFFF,
-            ack=ack & 0xFFFFFFFF,
-            flags=flags,
-        )
-        ip = Ipv4Header(
-            src=src if src is not None else self.node.address,
-            dst=dst,
-            protocol=PROTO_TCP,
-        )
+        # Positional builds: this runs once per segment, and a keyword
+        # build of a NamedTuple costs about 1.7 times as much.
+        header = TcpHeader(src_port, dst_port, seq & 0xFFFFFFFF, ack & 0xFFFFFFFF, flags)
+        ip = Ipv4Header(src if src is not None else self.node.address, dst, PROTO_TCP)
         prov = provenance or self.default_provenance
         packet = Packet(
-            ip=ip,
-            tcp=header,
-            payload=payload,
-            payload_len=payload_len,
-            app_data=app_data,
-            provenance=prov if prov is not None else Provenance(),
+            None, ip, header, None, payload, payload_len,
+            prov if prov is not None else UNKNOWN_ORIGIN, app_data,
         )
         accepted = self.node.send_ipv4(packet)
         if accepted:

@@ -5,7 +5,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.sim.address import Ipv4Address
-from repro.sim.packet import PROTO_UDP, Ipv4Header, Packet, Provenance, UdpHeader
+from repro.sim.packet import (
+    PROTO_UDP,
+    UNKNOWN_ORIGIN,
+    Ipv4Header,
+    Packet,
+    Provenance,
+    UdpHeader,
+)
 
 if TYPE_CHECKING:
     from repro.sim.node import Node
@@ -106,19 +113,11 @@ class UdpStack:
         provenance: Provenance | None = None,
         src: Ipv4Address | None = None,
     ) -> bool:
-        header = UdpHeader(src_port=src_port, dst_port=dst_port)
-        ip = Ipv4Header(
-            src=src if src is not None else self.node.address,
-            dst=dst,
-            protocol=PROTO_UDP,
-        )
+        # Positional builds, as in TcpStack.send_segment.
+        ip = Ipv4Header(src if src is not None else self.node.address, dst, PROTO_UDP)
         prov = provenance or self.default_provenance
         packet = Packet(
-            ip=ip,
-            udp=header,
-            payload=payload,
-            payload_len=payload_len,
-            app_data=app_data,
-            provenance=prov if prov is not None else Provenance(),
+            None, ip, None, UdpHeader(src_port, dst_port), payload, payload_len,
+            prov if prov is not None else UNKNOWN_ORIGIN, app_data,
         )
         return self.node.send_ipv4(packet)

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.sim import CsmaLan, PacketProbe, Simulator
-from repro.sim.address import Ipv4Address
+from repro.sim.address import Ipv4Address, MacAllocator
+from repro.sim.channel import CsmaChannel, CsmaNetDevice
 from repro.sim.node import NetworkError
-from repro.sim.packet import PROTO_UDP
+from repro.sim.packet import PROTO_UDP, Packet
 
 
 @pytest.fixture()
@@ -156,3 +157,46 @@ def test_record_fields_match_packet(lan):
     assert record.src_ip == a.address.value
     assert record.dst_ip == b.address.value
     assert record.label == 0
+
+
+def test_channel_fifo_survives_detach_and_reattach_of_a_waiting_device():
+    """Devices queue on a busy medium; one leaves while it waits and comes
+    back.  The others keep FIFO order, the returning device's next frame is
+    served, and every frame is accounted for."""
+    sim = Simulator()
+    channel = CsmaChannel(sim, data_rate="10Mbps", delay="10us")
+    macs = MacAllocator()
+    a, b, c, d, sink = (CsmaNetDevice(channel, macs.allocate()) for _ in range(5))
+    delivered = []
+    sink.add_rx_callback(lambda frame: delivered.append(frame.payload))
+
+    def send(device, tag):
+        assert device.send(Packet(payload=tag, payload_len=500), sink.mac)
+
+    send(a, b"a0")  # takes the idle medium
+    send(a, b"a1")  # the rest wait: a, b, c, d in FIFO order
+    send(b, b"b0")
+    send(b, b"b1")
+    send(c, b"c0")
+    send(d, b"d0")
+    assert list(channel._waiting) == [a, b, c, d]
+
+    def churn():
+        b.detach()  # flushes b0 and b1
+        channel.attach(b)
+        send(b, b"b2")
+        assert list(channel._waiting) == [a, c, d, b]
+
+    sim.schedule(channel.transmission_time(100), churn)  # a0 still on the wire
+    sim.run(until=1.0)
+
+    assert delivered == [b"a0", b"a1", b"c0", b"d0", b"b2"]
+    assert not channel._waiting
+    assert not any(device.waiting for device in (a, b, c, d, sink))
+    for device in (a, b, c, d, sink):
+        assert device.queue.conservation_error() is None
+    assert (b.queue.enqueued, b.queue.dequeued, b.queue.flushed) == (3, 1, 2)
+    assert channel.frames_dequeued == sum(
+        device.queue.dequeued for device in (a, b, c, d, sink)
+    )
+    assert channel.frames_dequeued == channel.frames_delivered == 5

@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import obs
+from repro.obs import NullInstrument
 from repro.sim.core import SimulationError, Simulator
 
 
@@ -289,3 +291,57 @@ def test_property_time_never_goes_backwards(schedule):
         sim.schedule(delay, lambda: trace.append(sim.now), priority=priority)
     sim.run()
     assert all(b >= a for a, b in zip(trace, trace[1:]))
+
+
+def _schedule_mixed_load(sim, callback):
+    """500 callbacks up front (half alone, half in buckets of five), each
+    scheduling one more from inside the run: 1,000 callbacks in all,
+    through both dispatch paths and both schedule calls."""
+
+    def first(i):
+        callback()
+        if i % 2:
+            sim.schedule(0.5, callback)
+        else:
+            sim.schedule_abs(sim.now + 0.25, callback)
+
+    for i in range(250):
+        sim.schedule(i * 0.001 + 0.0001, first, i)
+    for i in range(250):
+        sim.schedule_abs(1.0 + (i // 5) * 0.01, first, i)
+
+
+class TestKernelTelemetry:
+    def test_no_instrument_call_with_observability_off(self, monkeypatch):
+        assert not obs.current().enabled
+        calls = []
+        monkeypatch.setattr(NullInstrument, "inc", lambda self, amount=1.0: calls.append("inc"))
+        monkeypatch.setattr(NullInstrument, "set", lambda self, value: calls.append("set"))
+        sim = Simulator()
+        ran = []
+        _schedule_mixed_load(sim, lambda: ran.append(sim.now))
+        sim.run()
+        assert len(ran) == sim.events_executed == 1000
+        assert calls == []
+        obs.NULL_INSTRUMENT.inc()  # the patch itself counts
+        assert calls == ["inc"]
+
+    def test_instruments_track_the_kernel_at_every_callback(self):
+        with obs.scope() as ctx:
+            sim = Simulator()
+            seen = []
+
+            def check():
+                seen.append((
+                    ctx.registry.value("sim.events_dispatched"),
+                    float(sim.events_executed),
+                    ctx.registry.value("sim.heap_depth"),
+                    float(len(sim._heap)),
+                ))
+
+            _schedule_mixed_load(sim, check)
+            sim.run()
+        assert len(seen) == 1000
+        for dispatched, executed, depth, heap in seen:
+            assert dispatched == executed
+            assert depth == heap

@@ -1,5 +1,8 @@
 """Tests for packet and header wire-format serialization."""
 
+import inspect
+
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.address import Ipv4Address, MacAddress
@@ -148,3 +151,24 @@ class TestProvenance:
         )
         framed = tainted.with_eth(EthernetHeader(src=MAC_A, dst=MAC_B))
         assert framed.provenance.attack == "udp"
+
+
+class TestImmutability:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            EthernetHeader(src=MAC_A, dst=MAC_B),
+            Ipv4Header(src=IP_A, dst=IP_B, protocol=PROTO_TCP),
+            TcpHeader(src_port=1, dst_port=2),
+            UdpHeader(src_port=1, dst_port=2),
+            Provenance(origin="bot", malicious=True, attack="syn"),
+            make_tcp_packet(),
+        ],
+        ids=lambda value: type(value).__name__,
+    )
+    def test_every_field_is_read_only(self, value):
+        names = list(inspect.signature(type(value)).parameters)
+        assert names
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
