@@ -83,22 +83,6 @@ class TokenBucket:
             return True
         return False
 
-    def take(self, now: float, requested: int, cost: float = 1.0) -> int:
-        """Grant as many of ``requested`` units as the bucket holds.
-
-        Equivalent to ``requested`` sequential :meth:`allow` calls at the
-        same ``now`` (the refill happens once; the rest of the calls see
-        zero elapsed time): the head of a batch is admitted, the tail
-        refused — the batched form of drop-tail rate limiting.
-        """
-        if requested <= 0:
-            return 0
-        self.tokens = min(self.burst, self.tokens + (now - self.last_time) * self.rate)
-        self.last_time = now
-        granted = min(requested, int(self.tokens / cost))
-        self.tokens -= granted * cost
-        return granted
-
 
 class BlocklistFilter:
     """Inline packet filter for a victim node, driven by IDS verdicts.

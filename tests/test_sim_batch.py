@@ -1,5 +1,5 @@
 """Batch-dispatch kernel tests: bucket ordering, anchoring, cancellation,
-rate limiting, flood captures and the segmented topology.
+flood captures and the segmented topology.
 
 The kernel drains each equal-``(time, priority)`` bucket of events in
 one pop-loop; that must be an *optimisation*, not a semantics change.
@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.botnet.attacks import make_attack
 from repro.capture import DatasetSummary
-from repro.ids.defense import TokenBucket
 from repro.sim import CsmaLan, PacketProbe, SegmentedLan, Simulator
 from repro.testbed import AttackPhase, Scenario, Testbed
 
@@ -139,36 +138,6 @@ def test_cancel_compaction_keeps_order_and_count():
     sim.run()
     assert sim._cancelled_in_heap == 0
     assert ran == list(range(20))
-
-
-# ----------------------------------------------------------------------
-# Rate-limiter semantics
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    rate=st.floats(min_value=0.5, max_value=100.0),
-    burst=st.floats(min_value=1.0, max_value=50.0),
-    steps=st.lists(
-        st.tuples(
-            st.floats(min_value=0.0, max_value=2.0),  # inter-arrival gap
-            st.integers(min_value=0, max_value=40),  # requested
-        ),
-        min_size=1,
-        max_size=10,
-    ),
-)
-def test_property_token_bucket_take_equals_sequential_allow(rate, burst, steps):
-    """``take(now, n)`` grants exactly what n ``allow(now)`` calls would."""
-    batched = TokenBucket(rate=rate, burst=burst)
-    scalar = TokenBucket(rate=rate, burst=burst)
-    now = 0.0
-    for gap, requested in steps:
-        now += gap
-        granted = batched.take(now, requested)
-        sequential = sum(1 for _ in range(requested) if scalar.allow(now))
-        assert granted == sequential
-        assert batched.tokens == pytest.approx(scalar.tokens, abs=1e-9)
 
 
 # ----------------------------------------------------------------------
