@@ -9,10 +9,13 @@ link.  Capacity is counted in packets.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro import obs
 from repro.sim.packet import Packet
+
+if TYPE_CHECKING:
+    from repro.obs.registry import Counter
 
 
 class DropTailQueue:
@@ -27,22 +30,25 @@ class DropTailQueue:
         self.dropped = 0
         self.dequeued = 0
         self.flushed = 0
-        # Telemetry stays no-op until bind_obs() — a bare queue (unit
+        # Telemetry stays off until bind_obs() — a bare queue (unit
         # tests) registers nothing; owners label it once they know its
-        # name and clock.
-        self._obs_enqueued = obs.NULL_INSTRUMENT
-        self._obs_dropped = obs.NULL_INSTRUMENT
-        self._obs_flushed = obs.NULL_INSTRUMENT
+        # name and clock.  Counters stay None while the registry is
+        # disabled, so the per-frame path pays an `is None` check, not a
+        # no-op call.
+        self._obs_enqueued: Counter | None = None
+        self._obs_dropped: Counter | None = None
+        self._obs_flushed: Counter | None = None
         self._obs_events = obs.current().events
         self._obs_name = ""
         self._obs_clock: Callable[[], float] | None = None
 
     def bind_obs(self, name: str, clock: Callable[[], float]) -> None:
         """Attach a queue name and sim clock for labeled, timestamped telemetry."""
-        ctx = obs.current()
-        self._obs_enqueued = ctx.registry.counter("queue.enqueued", queue=name)
-        self._obs_dropped = ctx.registry.counter("queue.dropped", queue=name)
-        self._obs_flushed = ctx.registry.counter("queue.flushed", queue=name)
+        registry = obs.current().registry
+        if registry.enabled:
+            self._obs_enqueued = registry.counter("queue.enqueued", queue=name)
+            self._obs_dropped = registry.counter("queue.dropped", queue=name)
+            self._obs_flushed = registry.counter("queue.flushed", queue=name)
         self._obs_name = name
         self._obs_clock = clock
 
@@ -67,12 +73,14 @@ class DropTailQueue:
         """Append ``packet``; return False (and count a drop) when full."""
         if self.is_full:
             self.dropped += 1
-            self._obs_dropped.inc()
+            if self._obs_dropped is not None:
+                self._obs_dropped.inc()
             self._record_drop_event()
             return False
         self._items.append(packet)
         self.enqueued += 1
-        self._obs_enqueued.inc()
+        if self._obs_enqueued is not None:
+            self._obs_enqueued.inc()
         return True
 
     def dequeue(self) -> Packet | None:
@@ -109,6 +117,7 @@ class DropTailQueue:
         ``enqueued == dequeued + flushed + len(queue)``
         (``dropped`` counts rejected arrivals, which were never enqueued).
         """
-        self._obs_flushed.inc(len(self._items))
+        if self._obs_flushed is not None:
+            self._obs_flushed.inc(len(self._items))
         self.flushed += len(self._items)
         self._items.clear()

@@ -39,6 +39,7 @@ from repro.sim.packet import (
 )
 
 if TYPE_CHECKING:
+    from repro.obs.registry import Counter
     from repro.sim.node import Node
 
 MSS = 1400
@@ -141,7 +142,8 @@ class TcpListener:
             # recoverable from the peer's ACK, so legitimate clients still
             # complete while a spoofed flood burns no victim state.
             self.syn_cookies_sent += 1
-            self.stack._obs_syn_cookies.inc()
+            if self.stack._obs_syn_cookies is not None:
+                self.stack._obs_syn_cookies.inc()
             self.stack.send_segment(
                 src_port=self.port,
                 dst=packet.ip.src,
@@ -153,7 +155,8 @@ class TcpListener:
             return
         if len(self.half_open) >= self.backlog:
             self.syn_dropped += 1
-            self.stack._obs_syn_dropped.inc()
+            if self.stack._obs_syn_dropped is not None:
+                self.stack._obs_syn_dropped.inc()
             return  # backlog exhausted: the SYN-flood effect
         timeout = self.stack.sim.schedule(
             SYN_RCVD_TIMEOUT,
@@ -430,11 +433,12 @@ class TcpSocket:
             self._notify_reset()
             self._teardown()
             return
-        if self._rto < RTO_MAX:
+        if self._rto < RTO_MAX and self.stack._obs_backoff is not None:
             self.stack._obs_backoff.inc()
         self._rto = min(self._rto * 2, RTO_MAX)
         self.retransmissions += 1
-        self.stack._obs_retx.inc()
+        if self.stack._obs_retx is not None:
+            self.stack._obs_retx.inc()
         if self.state is TcpState.SYN_SENT:
             self._send_flags(TcpFlags.SYN, seq=(self.snd_una) & 0xFFFFFFFF)
         elif self._inflight:
@@ -563,10 +567,18 @@ class TcpStack:
         self.default_provenance: Provenance | None = None
         ctx = obs.current()
         self._obs_tracer = ctx.tracer
-        self._obs_retx = ctx.registry.counter("tcp.retransmissions", node=node.name)
-        self._obs_backoff = ctx.registry.counter("tcp.rto_backoffs", node=node.name)
-        self._obs_syn_dropped = ctx.registry.counter("tcp.syn_dropped", node=node.name)
-        self._obs_syn_cookies = ctx.registry.counter("tcp.syn_cookies", node=node.name)
+        # None while the registry is disabled: a dropped SYN or a
+        # retransmission then pays an `is None` check, not a no-op call.
+        self._obs_retx: Counter | None = None
+        self._obs_backoff: Counter | None = None
+        self._obs_syn_dropped: Counter | None = None
+        self._obs_syn_cookies: Counter | None = None
+        registry = ctx.registry
+        if registry.enabled:
+            self._obs_retx = registry.counter("tcp.retransmissions", node=node.name)
+            self._obs_backoff = registry.counter("tcp.rto_backoffs", node=node.name)
+            self._obs_syn_dropped = registry.counter("tcp.syn_dropped", node=node.name)
+            self._obs_syn_cookies = registry.counter("tcp.syn_cookies", node=node.name)
         if self.sim.sanitizer is not None:
             self.sim.sanitizer.register_tcp_stack(self)
 
