@@ -32,13 +32,20 @@ def _loop_counter(iterations: int, counter) -> float:
     return acc
 
 
-def _time_best(fn, repeats: int) -> float:
-    """Best-of-``repeats`` wall seconds — minimum filters scheduler noise."""
-    best = float("inf")
+def _time_interleaved(fns, repeats: int) -> list[float]:
+    """Best-of-``repeats`` wall seconds of each of ``fns``.
+
+    Every repeat times each variant in turn (a, b, c, a, b, c, ...), so
+    a burst of load from elsewhere on the host lands on all of them
+    rather than on whichever ran while it lasted; the minimum filters
+    scheduler noise.
+    """
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - start)
     return best
 
 
@@ -51,9 +58,14 @@ def run_overhead_benchmark(iterations: int = 200_000, repeats: int = 5) -> dict:
     disabled = MetricsRegistry(enabled=False).counter("bench.ops")
     enabled = MetricsRegistry(enabled=True).counter("bench.ops")
 
-    base = _time_best(lambda: _loop_uninstrumented(iterations), repeats)
-    off = _time_best(lambda: _loop_counter(iterations, disabled), repeats)
-    on = _time_best(lambda: _loop_counter(iterations, enabled), repeats)
+    base, off, on = _time_interleaved(
+        [
+            lambda: _loop_uninstrumented(iterations),
+            lambda: _loop_counter(iterations, disabled),
+            lambda: _loop_counter(iterations, enabled),
+        ],
+        repeats,
+    )
 
     scale = 1e9 / iterations
     return {
@@ -109,9 +121,14 @@ def run_profiler_overhead_benchmark(iterations: int = 50_000, repeats: int = 5) 
     events = [_BenchEvent(_noop) for _ in range(iterations)]
     profiler = KernelProfiler()
 
-    base = _time_best(lambda: _loop_dispatch_direct(events), repeats)
-    off = _time_best(lambda: _loop_dispatch_gated(events, None), repeats)
-    on = _time_best(lambda: _loop_dispatch_gated(events, profiler), repeats)
+    base, off, on = _time_interleaved(
+        [
+            lambda: _loop_dispatch_direct(events),
+            lambda: _loop_dispatch_gated(events, None),
+            lambda: _loop_dispatch_gated(events, profiler),
+        ],
+        repeats,
+    )
 
     scale = 1e9 / iterations
     return {
