@@ -3,7 +3,8 @@
 Packet feature vectors are treated as 1-channel signals; two
 conv/ReLU/pool blocks extract local co-occurrence patterns across the
 feature dimension, and a dense head classifies benign vs malicious.
-Training is mini-batch Adam over softmax cross-entropy.
+Training is mini-batch Adam over softmax cross-entropy, in float32 like
+the paper's Keras model (Keras's default precision).
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ class CnnClassifier:
             raise ValueError(
                 f"n_features={self.n_features} too small for two pooling stages"
             )
-        return Sequential(
+        net = Sequential(
             [
                 Conv1D(1, c1, kernel_size=3, rng=rng, padding="same"),
                 ReLU(),
@@ -174,10 +175,19 @@ class CnnClassifier:
                 Dense(self.hidden, 2, rng=rng),
             ]
         )
+        # The layers draw their weights in float64 from ``rng``; the net
+        # keeps them, and so computes, in float32.
+        for layer in net.layers:
+            if isinstance(layer, (Conv1D, Dense)):
+                layer.W = layer.W.astype(np.float32)
+                layer.b = layer.b.astype(np.float32)
+                layer.dW = np.zeros_like(layer.W)
+                layer.db = np.zeros_like(layer.b)
+        return net
 
     @staticmethod
     def _as_signal(X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        X = np.asarray(X, dtype=np.float32)
         return X.reshape(len(X), 1, X.shape[1])
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "CnnClassifier":

@@ -4,6 +4,11 @@ The building blocks for the CNN IDS (and the autoencoder): Conv1D with
 im2col vectorisation, max pooling, dense layers, ReLU, dropout, a fused
 softmax/cross-entropy head, and the Adam optimiser.  Backprop is exact
 (verified by numeric gradient checks in the test suite).
+
+Every layer computes in its input's dtype: float64 in, float64 out;
+float32 in (the CNN, as Keras trains by default), float32 out.  Only
+Dropout's uniform draws are float64 either way, so its mask stream does
+not depend on the dtype.
 """
 
 from __future__ import annotations
@@ -115,7 +120,7 @@ class Conv1D(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         n, c, length = x.shape
         left, right = self._pad_amounts()
-        xp = np.zeros((n, c, length + left + right))
+        xp = np.zeros((n, c, length + left + right), dtype=x.dtype)
         xp[:, :, left : left + length] = x
         out_len = xp.shape[2] - self.kernel_size + 1
         # im2col: (n, c*k, out_len)
@@ -134,14 +139,16 @@ class Conv1D(Layer):
         g = grad.transpose(0, 2, 1)  # (n, out_len, F)
         out_len = g.shape[1]
         w2 = self.W.reshape(self.W.shape[0], -1)
+        # The weight gradient sums over batch and position at once: one
+        # GEMM over the flattened (n * out_len) axis.
         self.dW[...] = (
-            np.einsum("nof,nok->fk", g, self._cols)
+            g.reshape(-1, w2.shape[0]).T @ self._cols.reshape(-1, w2.shape[1])
         ).reshape(self.W.shape)
         self.db[...] = g.sum(axis=(0, 1))
         dcols = g @ w2  # (n, out_len, c*k)
         dcols = dcols.reshape(n, out_len, c, self.kernel_size).transpose(0, 2, 1, 3)
         left, right = self._pad_amounts()
-        dxp = np.zeros((n, c, length + left + right))
+        dxp = np.zeros((n, c, length + left + right), dtype=grad.dtype)
         # col2im: position i takes tap j of output i - j; accumulate the
         # taps from last to first, the order scatter-adding cols would use.
         for j in reversed(range(self.kernel_size)):
@@ -189,7 +196,7 @@ class MaxPool1D(Layer):
         n, c, length = self._x_shape
         p = self.pool_size
         out_len = grad.shape[2]
-        dx = np.zeros((n, c, length))
+        dx = np.zeros((n, c, length), dtype=grad.dtype)
         expanded = self._mask * grad[..., None]
         dx[:, :, : out_len * p] = expanded.reshape(n, c, out_len * p)
         return dx
@@ -228,7 +235,7 @@ class Dropout(Layer):
             self._mask = None
             return x
         keep = 1.0 - self.rate
-        self._mask = (self.rng.random(x.shape) < keep) / keep
+        self._mask = ((self.rng.random(x.shape) < keep) / keep).astype(x.dtype, copy=False)
         return x * self._mask
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

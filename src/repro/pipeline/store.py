@@ -25,8 +25,10 @@ from pathlib import Path
 from typing import Any
 
 #: Store format version; bump to invalidate every existing cache entry
-#: when artifact formats change incompatibly.
-STORE_VERSION = 1
+#: when artifact formats change incompatibly.  Stage keys do not cover
+#: code, so a change that moves stage results (version 2: the float32
+#: CNN) bumps it too.
+STORE_VERSION = 2
 
 #: Marker file distinguishing a committed entry from debris.
 _COMMIT_MARKER = "ARTIFACT.json"
