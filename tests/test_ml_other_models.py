@@ -111,7 +111,7 @@ class TestSerialization:
         X, y = linear_data(n=2000, d=12, seed=5)
         cnn = CnnClassifier(n_features=12, epochs=1, random_state=0).fit(X, y)
         cnn.predict(X)  # populate forward caches
-        weights_kb = sum(p.size for p in cnn.net.params()) * 8 / 1000
+        weights_kb = sum(p.nbytes for p in cnn.net.params()) / 1000
         assert model_size_kb(cnn) < weights_kb * 1.5
 
     def test_kmeans_much_smaller_than_forest(self):
