@@ -7,9 +7,11 @@
   K-Means default specs (train 20 s, detect 10 s) at seeds 7 and 11;
 * the same at perfbench's paper-e2e size (train 30 s, detect 15 s) at
   seeds 7 and 11: the part of that workload that no CNN verdict enters;
-* the sha256 of the ``sort_keys=True`` mitigation JSON of a
-  ``MitigationPlan(model="K-Means")`` run under
-  ``chaos_fault_schedule(30.0)`` (train 20 s, detect 30 s, seed 7).
+* the sha256 of a ``MitigationPlan(model="K-Means")`` run under
+  ``chaos_fault_schedule(30.0)`` (train 20 s, detect 30 s, seed 7): the
+  ``sort_keys=True`` JSON of its mitigation payload together with the
+  sorted ``[time, kind, detail, value, targets, note]`` rows of every
+  fault, supervisor and mitigation event of the defended capture.
 
 The CNN is left out on purpose: its fit can depend on the BLAS build,
 while everything pinned here is exact on any host.
@@ -61,7 +63,16 @@ def live_mitigation(seed: int = 7) -> dict:
         fault_plan=scenario.chaos_fault_schedule(30.0),
         faults=True,
     )
-    blob = json.dumps(result.mitigation, sort_keys=True).encode()
+    mitigation = {key: value for key, value in result.mitigation.items() if key != "events"}
+    events = sorted(
+        [[e.time, f"fault.{e.action}", e.kind, 1.0, list(e.targets), e.detail]
+         for e in result.fault_events]
+        + [[e.time, f"supervisor.{e.action}", e.container, 1.0, [e.container], e.detail]
+           for e in result.supervisor_events]
+        + [[e["time"], f"mitigation.{e['action']}", e["detail"], e["value"], [], ""]
+           for e in result.mitigation["events"]]
+    )
+    blob = json.dumps({"mitigation": mitigation, "events": events}, sort_keys=True).encode()
     return {"mitigation_sha256": hashlib.sha256(blob).hexdigest()}
 
 
