@@ -8,8 +8,9 @@ End-to-end robustness run:
    armed — 5% Bernoulli loss across the first flood bursts, a link
    partition severing ``dev-0``, and a crash of the last Dev container
    with an ``on-failure`` restart policy;
-4. print the fault log, the supervisor's crash/restart decisions, and
-   the detection report's healthy-vs-degraded accuracy breakdown.
+4. print the run log — fault edges and the supervisor's crash/restart
+   decisions, in recording order — and the detection report's
+   healthy-vs-degraded accuracy breakdown.
 
     PYTHONPATH=src python examples/fault_scenario.py
 """
@@ -32,14 +33,11 @@ def main() -> None:
     for spec in result.fault_plan.specs:
         print(f"  {spec.describe()}")
 
-    print("\nfault injector log:")
-    for event in result.fault_events:
-        print(f"  t={event.time:8.3f}  {event.action:<10} {event.kind} "
-              f"targets={','.join(event.targets)}")
-
-    print("\nsupervisor log:")
-    for event in result.supervisor_events:
-        print(f"  t={event.time:8.3f}  {event.action:<8} {event.container} {event.detail}")
+    print("\nrun log (fault and supervisor events):")
+    for event in result.events:
+        targets = ",".join(event.targets)
+        print(f"  t={event.time:8.3f}  {event.kind:<22} {event.detail} "
+              f"targets={targets} {event.note}".rstrip())
 
     report = result.detection[0]
     print(f"\n{report}")
@@ -47,6 +45,9 @@ def main() -> None:
     print("breakdown:", {k: round(v, 3) for k, v in breakdown.items()})
 
     # The run must have exercised every supervision path.
+    kinds = {event.kind for event in result.events}
+    missing = {"fault.partition", "fault.heal", "supervisor.kill", "supervisor.restart"} - kinds
+    assert not missing, f"run log lacks {sorted(missing)}"
     assert result.restarts, "expected the killed container to restart"
     assert report.n_degraded > 0, "expected degraded windows in the report"
     assert report.healthy_windows, "expected healthy windows in the report"

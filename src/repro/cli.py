@@ -95,11 +95,13 @@ def cmd_faults(args: argparse.Namespace) -> int:
         print(f"  {spec.describe()}")
     print("\nfault events:")
     for event in result.fault_events:
-        print(f"  t={event.time:9.3f}  {event.action:<10} {event.kind} "
-              f"targets={','.join(event.targets)} {event.detail}")
+        print(f"  t={event.time:9.3f}  {event.kind.removeprefix('fault.'):<10} {event.detail} "
+              f"targets={','.join(event.targets)} {event.note}")
     print("\nsupervisor events:")
-    for event in result.supervisor_events:
-        print(f"  t={event.time:9.3f}  {event.action:<8} {event.container} {event.detail}")
+    for event in result.events:
+        if event.kind.startswith("supervisor."):
+            action = event.kind.removeprefix("supervisor.")
+            print(f"  t={event.time:9.3f}  {action:<8} {event.detail} {event.note}")
     if result.restarts:
         restarts = ", ".join(f"{k}×{v}" for k, v in sorted(result.restarts.items()))
         print(f"\nrestarts: {restarts}")
@@ -152,9 +154,10 @@ def cmd_mitigate(args: argparse.Namespace) -> int:
             print(f"  {spec.describe()}")
         print()
     print("mitigation events:")
-    for event in defended.mitigation["events"]:
-        detail = f" {event['detail']}" if event["detail"] else ""
-        print(f"  t={event['time']:9.3f}  {event['action']:<16}{detail}")
+    for event in defended.events:
+        if event.kind.startswith("mitigation."):
+            detail = f" {event.detail}" if event.detail else ""
+            print(f"  t={event.time:9.3f}  {event.kind.removeprefix('mitigation.'):<16}{detail}")
     print(
         f"\ndefense summary: {summary['blocks_issued']} block(s), "
         f"{summary['unblocks']} unblock(s), {summary['fallback_entries']} fallback(s); "

@@ -14,12 +14,7 @@ tap bridges that attach containers to simulated ghost nodes
 from repro.containers.bridge import TapBridge
 from repro.containers.container import Container, ContainerState, Process
 from repro.containers.image import Image
-from repro.containers.orchestrator import (
-    Orchestrator,
-    RestartPolicy,
-    ServiceSpec,
-    SupervisorEvent,
-)
+from repro.containers.orchestrator import Orchestrator, RestartPolicy, ServiceSpec
 from repro.containers.resources import ResourceAccountant, ResourceLimits, ResourceUsage
 
 __all__ = [
@@ -33,6 +28,5 @@ __all__ = [
     "ResourceUsage",
     "RestartPolicy",
     "ServiceSpec",
-    "SupervisorEvent",
     "TapBridge",
 ]

@@ -12,18 +12,22 @@ under a :class:`RestartPolicy` — exponential backoff with deterministic
 jitter and a max-restart circuit breaker, mirroring Docker's
 ``restart: on-failure`` semantics.  Restarted containers are re-attached
 to the LAN through the tap bridge and their processes started again.
+Every supervision decision is recorded as a ``supervisor.<action>``
+:class:`~repro.obs.events.ObsEvent` in the orchestrator's run log
+(:attr:`Orchestrator.events`).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import obs
 from repro.containers.bridge import TapBridge
 from repro.containers.container import Container, ContainerState
 from repro.containers.image import Image, Registry
 from repro.containers.resources import ResourceLimits
+from repro.obs.events import EventLog
 from repro.sim.core import Event, Simulator
 from repro.sim.topology import CsmaLan
 
@@ -71,20 +75,6 @@ class RestartPolicy:
         return delay
 
 
-@dataclass(frozen=True)
-class SupervisorEvent:
-    """One supervision decision, recorded for the run's fault trace."""
-
-    time: float
-    container: str
-    action: str  # "kill" | "exit" | "backoff" | "restart" | "giveup" | "unhealthy"
-    detail: str = ""
-
-    def __str__(self) -> str:
-        suffix = f" ({self.detail})" if self.detail else ""
-        return f"t={self.time:.3f} {self.action} {self.container}{suffix}"
-
-
 @dataclass
 class ServiceSpec:
     """One service in the compose file: an image plus deployment settings."""
@@ -110,7 +100,13 @@ class _Supervision:
 class Orchestrator:
     """Creates, starts, stops, supervises, and looks up containers on one LAN."""
 
-    def __init__(self, sim: Simulator, lan: CsmaLan, seed: int = 0) -> None:
+    def __init__(
+        self,
+        sim: Simulator,
+        lan: CsmaLan,
+        seed: int = 0,
+        events: EventLog | None = None,
+    ) -> None:
         self.sim = sim
         self.lan = lan
         self.bridge = TapBridge(sim, lan)
@@ -119,11 +115,8 @@ class Orchestrator:
         self._services: list[ServiceSpec] = []
         self._supervised: dict[str, _Supervision] = {}
         self._rng = random.Random(seed)
-        self.events: list[SupervisorEvent] = []
-        #: Callbacks invoked with every SupervisorEvent (mitigation fallback).
-        self.listeners: list = []
+        self.events = events if events is not None else obs.run_log()
         ctx = obs.current()
-        self._obs_events = ctx.events
         self._obs_registry = ctx.registry
         self._obs_restarts = ctx.registry.counter("container.restarts")
 
@@ -296,14 +289,12 @@ class Orchestrator:
     def restarts_of(self, name: str) -> int:
         return self.get(name).restart_count
 
-    def _record(self, name: str, action: str, detail: str = "") -> None:
-        event = SupervisorEvent(self.sim.now, name, action, detail)
-        self.events.append(event)
-        self._obs_events.record(self.sim.now, f"supervisor.{action}", detail=name)
+    def _record(self, name: str, action: str, note: str = "") -> None:
+        self.events.record(
+            self.sim.now, f"supervisor.{action}", name, targets=(name,), note=note
+        )
         if action == "restart":
             self._obs_restarts.inc()
-        for listener in list(self.listeners):
-            listener(event)
 
     def sample_resources(self) -> None:
         """Publish each container's cgroup-style CPU/memory into telemetry.

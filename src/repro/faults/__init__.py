@@ -16,13 +16,12 @@ Everything is driven by per-plan seeded RNGs: the same plan plus the
 same seed yields byte-identical traces.
 """
 
-from repro.faults.injector import FaultEvent, FaultInjector, GilbertElliott
+from repro.faults.injector import FaultInjector, GilbertElliott
 from repro.faults.plan import ALL_TARGETS, FAULT_KINDS, FaultPlan, FaultSpec
 
 __all__ = [
     "ALL_TARGETS",
     "FAULT_KINDS",
-    "FaultEvent",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",

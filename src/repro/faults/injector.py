@@ -9,36 +9,23 @@ checksum verify), delay jitter, and timed link partitions.  All
 randomness is drawn from one seeded RNG, so a plan replays identically
 for the same seed — faults are experimental conditions, not noise.
 
-Every activation, deactivation, partition edge, and per-kind drop tally
-is recorded in :attr:`FaultInjector.log`, which the testbed merges into
-the run's trace.
+Every activation, deactivation and partition edge is recorded as a
+``fault.<action>`` :class:`~repro.obs.events.ObsEvent` in the run log
+the injector is given (:attr:`FaultInjector.events`; the testbed hands
+over its own).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import obs
 from repro.faults.plan import ALL_TARGETS, FaultPlan, FaultSpec
+from repro.obs.events import EventLog
 from repro.sim.channel import ChannelImpairment, CsmaChannel, CsmaNetDevice
 from repro.sim.core import Simulator
 from repro.sim.packet import Packet
-
-
-@dataclass(frozen=True)
-class FaultEvent:
-    """One entry in the fault trace: what changed, when, to whom."""
-
-    time: float
-    action: str  # "activate" | "deactivate" | "partition" | "heal" | ...
-    kind: str
-    targets: tuple[str, ...]
-    detail: str = ""
-
-    def __str__(self) -> str:
-        suffix = f" ({self.detail})" if self.detail else ""
-        return f"t={self.time:.3f} {self.action} {self.kind}[{','.join(self.targets)}]{suffix}"
 
 
 class GilbertElliott:
@@ -80,21 +67,24 @@ class _ActiveWireFault:
 class FaultInjector(ChannelImpairment):
     """Applies a fault plan's wire impairments to one CSMA channel."""
 
-    def __init__(self, sim: Simulator, channel: CsmaChannel, seed: int = 0) -> None:
+    def __init__(
+        self,
+        sim: Simulator,
+        channel: CsmaChannel,
+        seed: int = 0,
+        events: EventLog | None = None,
+    ) -> None:
         self.sim = sim
         self.channel = channel
         self.rng = random.Random(seed)
         self._active: list[_ActiveWireFault] = []
         self._partitions: dict[int, list[CsmaNetDevice]] = {}
         self._resolve = None  # name -> CsmaNetDevice, set by schedule_plan
-        self.log: list[FaultEvent] = []
+        self.events = events if events is not None else obs.run_log()
         self.frames_lost = 0
         self.frames_corrupted = 0
         self.frames_delayed = 0
         self.extra_delay_total = 0.0
-        #: Callbacks invoked with every FaultEvent (mitigation fallback).
-        self.listeners: list = []
-        self._obs_events = obs.current().events
         channel.set_fault_injector(self)
 
     # ------------------------------------------------------------------
@@ -134,7 +124,7 @@ class FaultInjector(ChannelImpairment):
         for active in list(self._active):
             if active.spec is spec:
                 self._active.remove(active)
-                self._log("deactivate", spec, detail=f"frames_hit={active.frames_hit}")
+                self._log("deactivate", spec, note=f"frames_hit={active.frames_hit}")
 
     def _start_partition(self, spec: FaultSpec) -> None:
         devices = self._partition_targets(spec)
@@ -147,7 +137,7 @@ class FaultInjector(ChannelImpairment):
                 device.channel.detach(device)  # flushes the TX queue (counted)
                 severed.append(device)
         self._partitions[id(spec)] = severed
-        self._log("partition", spec, detail=f"severed={len(severed)}")
+        self._log("partition", spec, note=f"severed={len(severed)}")
 
     def _end_partition(self, spec: FaultSpec) -> None:
         for device in self._partitions.pop(id(spec), []):
@@ -214,12 +204,10 @@ class FaultInjector(ChannelImpairment):
     def partitioned_devices(self) -> int:
         return sum(len(devices) for devices in self._partitions.values())
 
-    def _log(self, action: str, spec: FaultSpec, detail: str = "") -> None:
-        event = FaultEvent(self.sim.now, action, spec.kind, spec.targets, detail)
-        self.log.append(event)
-        self._obs_events.record(self.sim.now, f"fault.{action}", detail=spec.kind)
-        for listener in list(self.listeners):
-            listener(event)
+    def _log(self, action: str, spec: FaultSpec, note: str = "") -> None:
+        self.events.record(
+            self.sim.now, f"fault.{action}", spec.kind, targets=spec.targets, note=note
+        )
 
     def detach(self) -> None:
         """Remove the injector from its channel (end of a fault phase)."""

@@ -16,7 +16,6 @@ from repro.ids.defense import (
     BlocklistFilter,
     MitigatingIds,
     MitigationController,
-    MitigationEvent,
     MitigationPlan,
     RecoveryMetrics,
     TokenBucket,
@@ -40,7 +39,6 @@ __all__ = [
     "IOT_CPU_SCALE",
     "MitigatingIds",
     "MitigationController",
-    "MitigationEvent",
     "MitigationPlan",
     "RealTimeIds",
     "RecoveryMetrics",

@@ -24,8 +24,9 @@ is partitioned (see :mod:`repro.faults`), the controller enters a
 *fallback* state that freezes the last-known policy with bounded
 staleness (``MitigationPlan.fallback_staleness``) instead of failing
 open (TTL expiry would unblock mid-outage) or wedging (blocks never
-expiring).  Every transition is recorded as a :class:`MitigationEvent`
-and mirrored into :mod:`repro.obs` as ``mitigation.*`` events.
+expiring).  Every transition is recorded as a ``mitigation.<action>``
+:class:`~repro.obs.events.ObsEvent` in the testbed's run log, the same
+log whose fault and supervisor events drive the fallback.
 """
 
 from __future__ import annotations
@@ -37,12 +38,11 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro import obs
+from repro.obs.events import EventLog, ObsEvent
 from repro.sim.address import Ipv4Address
 from repro.sim.packet import Packet
 
 if TYPE_CHECKING:
-    from repro.containers.orchestrator import SupervisorEvent
-    from repro.faults.injector import FaultEvent
     from repro.features.columnar import RecordBatch
     from repro.ids.engine import RealTimeIds
     from repro.sim.core import Simulator
@@ -52,6 +52,17 @@ if TYPE_CHECKING:
 #: Matches :data:`repro.faults.plan.ALL_TARGETS` (imported lazily to keep
 #: this module free of testbed-layer dependencies).
 _ALL_TARGETS = "*"
+
+#: Run-log kinds that take the IDS container down (True) or bring it
+#: back (False), keyed to the fallback reason they name.
+_FALLBACK_EDGES = {
+    "supervisor.kill": ("container", True),
+    "supervisor.exit": ("container", True),
+    "supervisor.unhealthy": ("container", True),
+    "supervisor.restart": ("container", False),
+    "fault.partition": ("link", True),
+    "fault.heal": ("link", False),
+}
 
 
 def _fmt_ip(value: int) -> str:
@@ -379,28 +390,6 @@ class MitigationPlan:
 
 
 @dataclass(frozen=True)
-class MitigationEvent:
-    """One mitigation state transition (always recorded, even obs-off)."""
-
-    time: float
-    action: str
-    detail: str = ""
-    value: float = 1.0
-
-    def to_dict(self) -> dict:
-        return {
-            "time": self.time,
-            "action": self.action,
-            "detail": self.detail,
-            "value": self.value,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MitigationEvent":
-        return cls(**payload)
-
-
-@dataclass(frozen=True)
 class RecoveryMetrics:
     """Victim-side effectiveness of a defended (or monitor) run.
 
@@ -456,13 +445,13 @@ def _median(values: list[float]) -> float | None:
 
 def compute_recovery_metrics(
     series: "ImpactSeries",
-    events: list[MitigationEvent],
+    events: list[ObsEvent],
     attack_spans: list[tuple[float, float]],
     malicious_srcs: set[int],
     blocked_srcs: set[int],
     recovery_fraction: float = 0.5,
 ) -> RecoveryMetrics:
-    """Fold an impact series + mitigation events into :class:`RecoveryMetrics`."""
+    """Fold an impact series + run-log events into :class:`RecoveryMetrics`."""
 
     def in_attack(t: float) -> bool:
         return any(start <= t < end for start, end in attack_spans)
@@ -474,7 +463,8 @@ def compute_recovery_metrics(
     attack_goodput = float(np.mean(hot)) if hot else 0.0
     retained = 100.0 * attack_goodput / baseline if baseline > 0 else 0.0
 
-    mitigations = [e for e in events if e.action in ("block", "reblock", "escalate")]
+    acted = ("mitigation.block", "mitigation.reblock", "mitigation.escalate")
+    mitigations = [e for e in events if e.kind in acted]
     to_mitigate = []
     for start, end in attack_spans:
         deltas = [e.time - start for e in mitigations if start <= e.time <= end + 5.0]
@@ -520,16 +510,17 @@ class MitigationController:
     """Drives the fault-tolerant detect → mitigate → recover loop.
 
     Subscribes to live IDS window verdicts and maintains the victim
-    blocklist plus the LAN-tier upstream ACL.  Supervisor events for the
-    IDS container and fault-injector partition events feed the fallback
-    state machine: while the IDS is down the filters hold their
-    last-known policy with bounded staleness (``ttl_grace``); when it
-    comes back, stale entries are pruned and a ``resync`` is recorded.
+    blocklist plus the LAN-tier upstream ACL.  :meth:`on_event`, a
+    subscriber of the run log, feeds the fallback state machine from the
+    IDS container's supervisor events and partition events: while the
+    IDS is down the filters hold their last-known policy with bounded
+    staleness (``ttl_grace``); when it comes back, stale entries are
+    pruned and a ``resync`` is recorded.
 
-    Events are kept on the controller itself (:attr:`events`) so
-    defended runs stay byte-for-byte comparable even with telemetry
-    disabled; they are mirrored into :mod:`repro.obs` as
-    ``mitigation.<action>`` when a scope is active.
+    Transitions are recorded as ``mitigation.<action>`` events in
+    :attr:`events` (a fresh run log unless the testbed hands over its
+    own), so defended runs stay byte-for-byte comparable even with
+    telemetry disabled.
     """
 
     def __init__(
@@ -541,6 +532,7 @@ class MitigationController:
         filter_: BlocklistFilter | None = None,
         upstream: UpstreamFilter | None = None,
         ids_container: str = "ids",
+        events: EventLog | None = None,
     ) -> None:
         self.plan = plan
         self.sim = sim
@@ -549,7 +541,8 @@ class MitigationController:
         self.filter = filter_
         self.upstream = upstream
         self.ids_container = ids_container
-        self.events: list[MitigationEvent] = []
+        self.events = events if events is not None else obs.run_log()
+        self.events_recorded = 0
         self.blocks_issued = 0
         self.unblocks = 0
         self.fallback_entries = 0
@@ -557,7 +550,6 @@ class MitigationController:
         self.malicious_srcs: set[int] = set()
         self._offenses: dict[int, int] = defaultdict(int)
         self._fallback_reasons: set[str] = set()
-        self._obs_events = obs.current().events
         ids.add_window_listener(self._on_window)
         if filter_ is not None:
             filter_.on_expire = self._victim_expired
@@ -568,8 +560,8 @@ class MitigationController:
     # Event plumbing
 
     def _emit(self, time: float, action: str, detail: str = "", value: float = 1.0) -> None:
-        self.events.append(MitigationEvent(time, action, detail, value))
-        self._obs_events.record(time, f"mitigation.{action}", detail=detail, value=value)
+        self.events_recorded += 1
+        self.events.record(time, f"mitigation.{action}", detail, value)
 
     def _victim_expired(self, src: int, until: float) -> None:
         self._emit(until, "expire", detail=_fmt_ip(src))
@@ -626,24 +618,18 @@ class MitigationController:
     # ------------------------------------------------------------------
     # Fault tolerance: fallback state machine
 
-    def on_supervisor_event(self, event: "SupervisorEvent") -> None:
-        if event.container != self.ids_container:
+    def on_event(self, event: ObsEvent) -> None:
+        """Run-log subscriber: IDS container outages drive the fallback."""
+        edge = _FALLBACK_EDGES.get(event.kind)
+        if edge is None or (
+            self.ids_container not in event.targets and _ALL_TARGETS not in event.targets
+        ):
             return
-        if event.action in ("kill", "exit", "unhealthy"):
-            self._enter_fallback("container", event.time)
-        elif event.action == "restart":
-            self._leave_fallback("container", event.time)
-
-    def on_fault_event(self, event: "FaultEvent") -> None:
-        if event.kind != "partition":
-            return
-        targets = set(event.targets)
-        if self.ids_container not in targets and _ALL_TARGETS not in targets:
-            return
-        if event.action == "partition":
-            self._enter_fallback("link", event.time)
-        elif event.action == "heal":
-            self._leave_fallback("link", event.time)
+        reason, down = edge
+        if down:
+            self._enter_fallback(reason, event.time)
+        else:
+            self._leave_fallback(reason, event.time)
 
     def _enter_fallback(self, reason: str, time: float) -> None:
         entering = not self._fallback_reasons
@@ -707,7 +693,7 @@ class MitigationController:
             "dropped_upstream": self.upstream.dropped if self.upstream else 0,
             "syn_cookies_sent": cookies_sent,
             "syn_cookies_rejected": cookies_rejected,
-            "events": len(self.events),
+            "events": self.events_recorded,
         }
 
 

@@ -17,7 +17,7 @@ Telemetry never perturbs the simulation (no scheduled events, no RNG)
 and never enters pipeline cache keys.
 """
 
-from repro.obs.context import ObsContext, current, scope
+from repro.obs.context import ObsContext, current, run_log, scope
 from repro.obs.events import EventLog, ObsEvent, events_from_dicts
 from repro.obs.flight import FlightRecorder
 from repro.obs.profile import KernelProfiler, callsite_label, classify_owner
@@ -56,6 +56,7 @@ __all__ = [
     "classify_owner",
     "current",
     "events_from_dicts",
+    "run_log",
     "scope",
     "timeline_from_result",
 ]

@@ -108,6 +108,11 @@ def current() -> ObsContext:
     return _current
 
 
+def run_log() -> EventLog:
+    """A fresh always-on run log that mirrors into the current scope's events."""
+    return EventLog(mirror=_current.events)
+
+
 @contextmanager
 def scope(ctx: ObsContext | None = None, profile: bool = False) -> Iterator[ObsContext]:
     """Make ``ctx`` (default: a fresh enabled context) current for a block."""

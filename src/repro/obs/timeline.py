@@ -232,8 +232,8 @@ def timeline_from_result(
     traffic columns come from the first detection report's windows (all
     models observe the same capture), accuracy columns from every
     report.  Events default to the run's attached telemetry snapshot;
-    for fault runs without telemetry, the fault/supervisor traces are
-    used so dips stay attributable.
+    without telemetry, the run's own fault, supervisor and mitigation
+    events (``result.events``) are used so dips stay attributable.
     """
     timeline = RunTimeline(bucket_seconds)
     reports = list(getattr(result, "detection", []))
@@ -241,30 +241,11 @@ def timeline_from_result(
         timeline.add_windows(reports[0])
         for report in reports[1:]:
             timeline.add_accuracy(report)
-    mitigation = getattr(result, "mitigation", None)
     if events is None:
         telemetry = getattr(result, "telemetry", None)
-        if telemetry:
-            events = telemetry.get("events", [])
-        else:
-            events = [
-                ObsEvent(e.time, f"fault.{e.action}", detail=e.kind)
-                for e in getattr(result, "fault_events", [])
-            ] + [
-                ObsEvent(e.time, f"supervisor.{e.action}", detail=e.container)
-                for e in getattr(result, "supervisor_events", [])
-            ]
-            if mitigation:
-                # The obs snapshot already carries mitigation.* events;
-                # only the telemetry-off path needs the controller's log.
-                events = list(events) + [
-                    ObsEvent(
-                        e["time"], f"mitigation.{e['action']}",
-                        detail=e.get("detail", ""), value=e.get("value", 1.0),
-                    )
-                    for e in mitigation.get("events", [])
-                ]
+        events = telemetry.get("events", []) if telemetry else getattr(result, "events", [])
     timeline.add_events(events)
+    mitigation = getattr(result, "mitigation", None)
     if mitigation:
         add_impact_series(timeline, mitigation.get("impact", []))
     return timeline

@@ -24,13 +24,13 @@ from typing import Any, Sequence
 
 from repro import obs
 from repro.capture import TrafficDataset
-from repro.containers.orchestrator import SupervisorEvent
-from repro.faults import FaultEvent, FaultPlan
+from repro.faults import FaultPlan
 from repro.features.pipeline import FeatureExtractor
 from repro.ids.defense import MitigationPlan, compute_recovery_metrics
 from repro.ids.report import DetectionReport
 from repro.ml.metrics import ClassificationReport
 from repro.ml.serialization import ModelBundle, load_model_bundle, save_model_bundle
+from repro.obs.events import ObsEvent
 from repro.pipeline.stage import (
     PipelineContext,
     PipelineResult,
@@ -97,8 +97,10 @@ class BuildTestbedStage(Stage):
 class CaptureArtifact:
     """A labelled capture plus the capture-phase metadata detection needs.
 
-    ``mitigation`` is populated only by :class:`MitigateStage`: the plan,
-    the controller's event log, victim impact samples, and the folded
+    ``meta["events"]`` is the capture's slice of the testbed run log, as
+    :meth:`~repro.obs.events.ObsEvent.to_dict` rows.  ``mitigation`` is
+    populated only by :class:`MitigateStage`: the plan, attack spans,
+    the controller's summary, victim impact samples, and the folded
     :class:`~repro.ids.defense.RecoveryMetrics`.
     """
 
@@ -112,9 +114,10 @@ class CaptureStage(Stage):
 
     ``fault_plan=None`` reproduces :meth:`Testbed.capture`'s fallback to
     ``scenario.fault_plan`` (the capture key still covers it through the
-    scenario dict).  With a plan armed, the artifact metadata records the
-    absolute degraded intervals, the nominal end time, and the fault /
-    supervisor traces so the downstream detect stage stays pure.
+    scenario dict).  The artifact metadata records the events the
+    capture added to the run log; with a plan armed, also the absolute
+    degraded intervals, the nominal end time and the restart counts, so
+    the downstream detect stage stays pure.
     """
 
     requires_state = (TESTBED_STATE,)
@@ -144,20 +147,18 @@ class CaptureStage(Stage):
     def run(self, ctx: PipelineContext, inputs: dict[str, Any]) -> CaptureArtifact:
         testbed: Testbed = ctx.state[TESTBED_STATE]
         base = testbed.sim.now
+        first = len(testbed.events)
         dataset = testbed.capture(self.duration, self.schedule, fault_plan=self.fault_plan)
-        meta: dict = {"base": base, "end": testbed.sim.now}
+        meta: dict = {
+            "base": base,
+            "end": testbed.sim.now,
+            "events": [event.to_dict() for event in testbed.events.events[first:]],
+        }
         if self.fault_plan is not None:
             meta["until"] = base + self.duration
             meta["degraded_intervals"] = [
                 [base + start, base + stop]
                 for start, stop in self.fault_plan.degraded_intervals()
-            ]
-            injector = testbed.fault_injector
-            meta["fault_events"] = (
-                [asdict(event) for event in injector.log] if injector is not None else []
-            )
-            meta["supervisor_events"] = [
-                asdict(event) for event in testbed.orchestrator.events
             ]
             meta["restarts"] = {
                 name: container.restart_count
@@ -223,6 +224,7 @@ class MitigateStage(CaptureStage):
             raise ValueError(
                 f"mitigation plan wants model {self.plan.model!r}; trained: {names}"
             )
+        first = len(testbed.events)
         controller = testbed.install_mitigation(self.plan, match)
         monitor = attach_victim_monitor(testbed.tserver)
         base = testbed.sim.now
@@ -231,13 +233,16 @@ class MitigateStage(CaptureStage):
         finally:
             monitor.stop()
             testbed.uninstall_mitigation()
+        # Teardown flushes the last lazy expiries into the log: slice after it.
+        events = testbed.events.events[first:]
+        artifact.meta["events"] = [event.to_dict() for event in events]
         spans = [
             (base + phase.start, base + phase.start + phase.duration)
             for phase in self.schedule
         ]
         recovery = compute_recovery_metrics(
             monitor.series,
-            controller.events,
+            events,
             spans,
             malicious_srcs=controller.malicious_srcs,
             blocked_srcs=controller.blocked_ever,
@@ -245,7 +250,6 @@ class MitigateStage(CaptureStage):
         artifact.mitigation = {
             "plan": self.plan.to_dict(),
             "attack_spans": [[start, end] for start, end in spans],
-            "events": [event.to_dict() for event in controller.events],
             "summary": controller.summary(),
             "recovery": recovery.to_dict(),
             "impact": [asdict(sample) for sample in monitor.series.samples],
@@ -467,24 +471,17 @@ def run_experiment_pipeline(
             trained=outcome.value("train-models"),
             detection=outcome.value("detect"),
             infection_seconds=outcome.value("build")["infection_seconds"],
+            mitigation=detect_art.mitigation,
+            events=[ObsEvent.from_dict(event) for event in detect_art.meta["events"]],
         )
         if not faults:
             result: ExperimentResult = ExperimentResult(**common)
         else:
-            meta = detect_art.meta
             result = FaultExperimentResult(
                 **common,
                 fault_plan=plan,
-                fault_events=[
-                    FaultEvent(**{**event, "targets": tuple(event["targets"])})
-                    for event in meta.get("fault_events", [])
-                ],
-                supervisor_events=[
-                    SupervisorEvent(**event) for event in meta.get("supervisor_events", [])
-                ],
-                restarts=dict(meta.get("restarts", {})),
+                restarts=dict(detect_art.meta.get("restarts", {})),
             )
-        result.mitigation = detect_art.mitigation
         if octx.enabled:
             result.telemetry = octx.snapshot()
     return result, outcome

@@ -27,8 +27,9 @@ from typing import Any
 #: Store format version; bump to invalidate every existing cache entry
 #: when artifact formats change incompatibly.  Stage keys do not cover
 #: code, so a change that moves stage results (version 2: the float32
-#: CNN) bumps it too.
-STORE_VERSION = 2
+#: CNN) bumps it too.  Version 3: capture artifacts keep their slice of
+#: the run log as ``meta["events"]``.
+STORE_VERSION = 3
 
 #: Marker file distinguishing a committed entry from debris.
 _COMMIT_MARKER = "ARTIFACT.json"

@@ -14,7 +14,8 @@ Phases mirror the paper: :meth:`Testbed.infect_all` runs the
 scan→crack→load lifecycle until the botnet is assembled, then
 :meth:`Testbed.capture` records a labelled
 :class:`~repro.capture.dataset.TrafficDataset` while benign traffic and
-scheduled flood phases run concurrently.
+scheduled flood phases run concurrently.  Fault, supervisor and
+mitigation events all land in one run log, :attr:`Testbed.events`.
 """
 
 from __future__ import annotations
@@ -101,8 +102,10 @@ class Testbed:
                 data_rate=self.scenario.data_rate,
                 delay=self.scenario.channel_delay,
             )
+        #: The run log: fault, supervisor and mitigation events.
+        self.events = obs.run_log()
         self.orchestrator = Orchestrator(
-            self.sim, self.lan, seed=self.scenario.seed + 9000
+            self.sim, self.lan, seed=self.scenario.seed + 9000, events=self.events
         )
         self.fault_injector: FaultInjector | None = None
         self.last_fault_base: float | None = None
@@ -121,8 +124,6 @@ class Testbed:
         self._rng = random.Random(self.scenario.seed)
         self._built = False
         self._churn_offline: set[int] = set()
-        #: Fault-event callbacks copied onto every injector apply_faults arms.
-        self._fault_listeners: list = []
         self.mitigation: MitigationController | None = None
         self._mitigation_teardown: tuple | None = None
 
@@ -338,16 +339,15 @@ class Testbed:
         LAN channel; ``kill`` specs register supervision on the
         orchestrator (per the spec's restart policy) and schedule the
         crash.  All spec times are relative to ``base`` (default: now).
-        Returns the injector so callers can inspect its event log.
+        Both record into :attr:`events`.  Returns the injector.
         """
         if not self._built:
             self.build()
         if base is None:
             base = self.sim.now
         injector = FaultInjector(
-            self.sim, self.lan.channel, seed=plan.seed + self.scenario.seed
+            self.sim, self.lan.channel, seed=plan.seed + self.scenario.seed, events=self.events
         )
-        injector.listeners.extend(self._fault_listeners)
         injector.schedule_plan(plan, resolve_device=self._resolve_device, base=base)
         for spec in plan.kill_specs():
             for target in spec.targets:
@@ -439,6 +439,7 @@ class Testbed:
             filter_=filter_,
             upstream=upstream,
             ids_container="ids",
+            events=self.events,
         )
         # The live tap: the IDS container's promiscuous device feeds the
         # IDS its frames.  Kill/partition of the container
@@ -447,10 +448,7 @@ class Testbed:
         device = ids_container.node.interfaces[0].device
         tap_rx = _LiveTapRx(live, self.sim)
         device.add_rx_callback(tap_rx)
-        self.orchestrator.listeners.append(controller.on_supervisor_event)
-        self._fault_listeners.append(controller.on_fault_event)
-        if self.fault_injector is not None:
-            self.fault_injector.listeners.append(controller.on_fault_event)
+        self.events.subscribers.append(controller.on_event)
         self.mitigation = controller
         self._mitigation_teardown = (device, tap_rx, cookie_ports, live)
         return controller
@@ -476,15 +474,7 @@ class Testbed:
             if listener is not None:
                 listener.disable_syn_cookies()
         device.remove_rx_callback(tap_rx)
-        if controller.on_supervisor_event in self.orchestrator.listeners:
-            self.orchestrator.listeners.remove(controller.on_supervisor_event)
-        if controller.on_fault_event in self._fault_listeners:
-            self._fault_listeners.remove(controller.on_fault_event)
-        if (
-            self.fault_injector is not None
-            and controller.on_fault_event in self.fault_injector.listeners
-        ):
-            self.fault_injector.listeners.remove(controller.on_fault_event)
+        self.events.subscribers.remove(controller.on_event)
         self.mitigation = None
         self._mitigation_teardown = None
         return controller

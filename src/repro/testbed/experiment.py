@@ -35,8 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.capture import DatasetSummary, TrafficDataset
-from repro.containers.orchestrator import SupervisorEvent
-from repro.faults import FaultEvent, FaultPlan
+from repro.faults import FaultPlan
 from repro.features.pipeline import FeatureExtractor
 from repro.ids.defense import RecoveryMetrics
 from repro.ids.engine import RealTimeIds
@@ -51,6 +50,7 @@ from repro.ml import (
     train_test_split,
 )
 from repro.ml.metrics import ClassificationReport
+from repro.obs.events import ObsEvent
 from repro.testbed.scenario import Scenario
 
 
@@ -222,9 +222,12 @@ class ExperimentResult:
     #: executed inside an enabled obs scope; None otherwise.  Never part
     #: of pipeline cache keys.
     telemetry: dict | None = None
-    #: Mitigation payload (plan, events, impact samples, recovery) when
-    #: the scenario carried a MitigationPlan; None otherwise.
+    #: Mitigation payload (plan, attack spans, summary, recovery, impact
+    #: samples) when the scenario carried a MitigationPlan; None otherwise.
     mitigation: dict | None = None
+    #: The detect capture's slice of the testbed run log: its fault,
+    #: supervisor and mitigation events in recording order.
+    events: list[ObsEvent] = field(default_factory=list)
 
     def table1(self) -> list[tuple[str, float]]:
         """(model, real-time mean accuracy %) rows."""
@@ -328,9 +331,12 @@ class FaultExperimentResult(ExperimentResult):
     """An :class:`ExperimentResult` whose detection run ran under faults."""
 
     fault_plan: FaultPlan | None = None
-    fault_events: list[FaultEvent] = field(default_factory=list)
-    supervisor_events: list[SupervisorEvent] = field(default_factory=list)
     restarts: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def fault_events(self) -> list[ObsEvent]:
+        """The ``fault.*`` entries of :attr:`events`."""
+        return [e for e in self.events if e.kind.startswith("fault.")]
 
     def fault_table(self) -> list[tuple[str, float, float, float]]:
         """(model, availability, healthy accuracy %, degraded accuracy %)."""

@@ -217,7 +217,7 @@ def test_ids_builds_no_rows(scenario, monkeypatch):
     flood = AttackPhase(start=4.0, kind="syn", duration=2.0, pps_per_bot=200.0)
     capture = testbed.capture(12.0, [flood])
     testbed.uninstall_mitigation()
-    assert any(event.action == "verdict" for event in controller.events)
+    assert controller.events.by_kind("mitigation.verdict")
     [offline] = run_realtime_detection(capture, [toy])
     assert offline.n_windows >= 10
     assert sum(w.n_packets for w in offline.windows) == len(capture)

@@ -32,8 +32,7 @@ def test_captures_are_identical(runs):
 
 def test_fault_traces_are_identical(runs):
     first, second = runs
-    assert first.fault_events == second.fault_events
-    assert first.supervisor_events == second.supervisor_events
+    assert first.events == second.events
     assert first.restarts == second.restarts
 
 
@@ -50,6 +49,7 @@ def test_fault_run_exercised_every_path(runs):
     first, _ = runs
     report = first.detection[0]
     assert first.restarts  # the killed container came back
-    assert {e.action for e in first.supervisor_events} >= {"kill", "exit", "backoff", "restart"}
+    kinds = {e.kind for e in first.events}
+    assert kinds >= {"supervisor.kill", "supervisor.exit", "supervisor.backoff", "supervisor.restart"}
     assert report.n_degraded > 0
     assert report.healthy_windows

@@ -169,7 +169,7 @@ class TestWireFaults:
         sim.run(until=10.0)
         assert len(arrivals) == 100  # all sent in the first second
         assert injector.frames_lost == 0
-        assert [e.action for e in injector.log] == ["activate", "deactivate"]
+        assert [e.kind for e in injector.events] == ["fault.activate", "fault.deactivate"]
 
     def test_corruption_counts_separately(self, lan):
         sim, net = lan
@@ -250,7 +250,9 @@ class TestPartition:
         assert not [t for t in arrivals if 3.01 < t < 7.0]
         assert [t for t in arrivals if t < 3.0]
         assert [t for t in arrivals if t > 7.0]
-        assert [e.action for e in injector.log] == ["partition", "heal"]
+        assert [e.kind for e in injector.events] == ["fault.partition", "fault.heal"]
+        assert [e.targets for e in injector.events] == [("a",), ("a",)]
+        assert injector.events.events[0].note == "severed=1"
 
     def test_named_partition_without_resolver_fails(self, lan):
         sim, net = lan

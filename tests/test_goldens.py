@@ -63,16 +63,10 @@ def live_mitigation(seed: int = 7) -> dict:
         fault_plan=scenario.chaos_fault_schedule(30.0),
         faults=True,
     )
-    mitigation = {key: value for key, value in result.mitigation.items() if key != "events"}
     events = sorted(
-        [[e.time, f"fault.{e.action}", e.kind, 1.0, list(e.targets), e.detail]
-         for e in result.fault_events]
-        + [[e.time, f"supervisor.{e.action}", e.container, 1.0, [e.container], e.detail]
-           for e in result.supervisor_events]
-        + [[e["time"], f"mitigation.{e['action']}", e["detail"], e["value"], [], ""]
-           for e in result.mitigation["events"]]
+        [e.time, e.kind, e.detail, e.value, list(e.targets), e.note] for e in result.events
     )
-    blob = json.dumps({"mitigation": mitigation, "events": events}, sort_keys=True).encode()
+    blob = json.dumps({"mitigation": result.mitigation, "events": events}, sort_keys=True).encode()
     return {"mitigation_sha256": hashlib.sha256(blob).hexdigest()}
 
 

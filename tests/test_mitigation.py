@@ -10,13 +10,12 @@ defended pipeline lives in ``test_mitigation_pipeline.py``.
 import numpy as np
 import pytest
 
-from repro.containers.orchestrator import SupervisorEvent
-from repro.faults.injector import FaultEvent
+from repro.containers import RestartPolicy
+from repro.faults import FaultPlan, FaultSpec
 from repro.features import RecordBatch
 from repro.ids import (
     BlocklistFilter,
     MitigationController,
-    MitigationEvent,
     MitigationPlan,
     RealTimeIds,
     RecoveryMetrics,
@@ -24,6 +23,7 @@ from repro.ids import (
     UpstreamFilter,
     compute_recovery_metrics,
 )
+from repro.obs import ObsEvent
 from repro.sim import PacketProbe
 from repro.sim.packet import PROTO_TCP, PROTO_UDP, Ipv4Header, Packet, TcpHeader, UdpHeader
 from repro.sim.tracing import PacketRecord
@@ -108,8 +108,10 @@ class TestMitigationPlanSerde:
         assert Scenario.from_dict(scenario.to_dict()).mitigation_plan is None
 
     def test_event_and_metrics_roundtrip(self):
-        event = MitigationEvent(1.5, "block", detail="10.0.0.3")
-        assert MitigationEvent.from_dict(event.to_dict()) == event
+        event = ObsEvent(1.5, "mitigation.block", detail="10.0.0.3")
+        assert ObsEvent.from_dict(event.to_dict()) == event
+        fault = ObsEvent(2.0, "fault.partition", "partition", targets=("ids",), note="severed=1")
+        assert ObsEvent.from_dict(fault.to_dict()) == fault
         metrics = RecoveryMetrics(
             goodput_retained_pct=80.0,
             time_to_mitigate=1.0,
@@ -137,7 +139,7 @@ class TestComputeRecoveryMetrics:
     def test_folds_series_and_events(self):
         metrics = compute_recovery_metrics(
             self.series(),
-            [MitigationEvent(6.0, "block", "10.0.0.2")],
+            [ObsEvent(6.0, "mitigation.block", "10.0.0.2")],
             [(5.0, 10.0)],
             malicious_srcs={2},
             blocked_srcs={1, 2},
@@ -459,9 +461,9 @@ class TestControllerVerdicts:
                 + [record(base + 1.0 + i * 0.05, src=777) for i in range(20)]
             )
         )
-        actions = [e.action for e in controller.events]
-        assert "block" in actions
-        assert "escalate" in actions
+        actions = [e.kind for e in controller.events]
+        assert "mitigation.block" in actions
+        assert "mitigation.escalate" in actions
         assert 777 in controller.filter.blocked_until
         assert 777 in controller.upstream.blocked_until
         assert controller.blocks_issued == 1
@@ -485,7 +487,7 @@ class TestControllerVerdicts:
         )
         assert controller.unblocks == 1
         assert src not in controller.filter.blocked_until
-        assert [e.action for e in controller.events].count("unblock") == 1
+        assert len(controller.events.by_kind("mitigation.unblock")) == 1
 
     def test_monitor_mode_never_filters(self, testbed):
         controller, ids = make_controller(testbed, FlagEverything(), mode="monitor")
@@ -495,67 +497,76 @@ class TestControllerVerdicts:
         assert controller.blocks_issued == 0
         # it still *observes*: the verdict event fires, and ground truth
         # accumulates for collateral accounting
-        assert any(e.action == "verdict" for e in controller.events)
+        assert controller.events.by_kind("mitigation.verdict")
         assert 777 in controller.malicious_srcs
+
+
+def supervisor(time, action, container="ids"):
+    return ObsEvent(time, f"supervisor.{action}", container, targets=(container,))
+
+
+def fault(time, action, *targets):
+    return ObsEvent(time, f"fault.{action}", "partition", targets=targets)
 
 
 class TestControllerFallback:
     def test_ids_kill_enters_fallback(self, testbed):
         controller, _ = make_controller(testbed, FlagEverything())
-        controller.on_supervisor_event(SupervisorEvent(1.0, "ids", "kill"))
+        controller.on_event(supervisor(1.0, "kill"))
         assert controller.in_fallback
         assert controller.filter.ttl_grace == controller.plan.fallback_staleness
         assert controller.upstream.ttl_grace == controller.plan.fallback_staleness
-        assert controller.events[-1].action == "fallback.enter"
+        assert controller.events.events[-1].kind == "mitigation.fallback.enter"
 
     def test_other_container_ignored(self, testbed):
         controller, _ = make_controller(testbed, FlagEverything())
-        controller.on_supervisor_event(SupervisorEvent(1.0, "dev-0", "kill"))
+        controller.on_event(supervisor(1.0, "kill", container="dev-0"))
         assert not controller.in_fallback
 
     def test_restart_exits_and_resyncs_stale_policy(self, testbed):
         controller, _ = make_controller(testbed, FlagEverything())
         stale_until = 2.0
         controller.filter.block(4242, until=stale_until)
-        controller.on_supervisor_event(SupervisorEvent(1.0, "ids", "kill"))
+        controller.on_event(supervisor(1.0, "kill"))
         # While down, the stale entry is held past its TTL.
         assert controller.filter.prune(stale_until + 1.0) == []
-        controller.on_supervisor_event(SupervisorEvent(20.0, "ids", "restart"))
+        controller.on_event(supervisor(20.0, "restart"))
         assert not controller.in_fallback
         assert controller.filter.ttl_grace == 0.0
         assert 4242 not in controller.filter.blocked_until  # resync pruned it
-        actions = [e.action for e in controller.events]
-        assert "fallback.exit" in actions and "resync" in actions and "expire" in actions
-        resync = next(e for e in controller.events if e.action == "resync")
+        actions = [e.kind for e in controller.events]
+        for kind in ("mitigation.fallback.exit", "mitigation.resync", "mitigation.expire"):
+            assert kind in actions
+        [resync] = controller.events.by_kind("mitigation.resync")
         assert resync.value == 1.0
 
     def test_partition_of_ids_link_enters_fallback(self, testbed):
         controller, _ = make_controller(testbed, FlagEverything())
-        controller.on_fault_event(FaultEvent(2.0, "partition", "partition", ("ids",)))
+        controller.on_event(fault(2.0, "partition", "ids"))
         assert controller.in_fallback
-        controller.on_fault_event(FaultEvent(3.0, "heal", "partition", ("ids",)))
+        controller.on_event(fault(3.0, "heal", "ids"))
         assert not controller.in_fallback
 
     def test_partition_of_other_target_ignored(self, testbed):
         controller, _ = make_controller(testbed, FlagEverything())
-        controller.on_fault_event(FaultEvent(2.0, "partition", "partition", ("tserver",)))
+        controller.on_event(fault(2.0, "partition", "tserver"))
         assert not controller.in_fallback
 
     def test_wildcard_partition_counts(self, testbed):
         controller, _ = make_controller(testbed, FlagEverything())
-        controller.on_fault_event(FaultEvent(2.0, "partition", "partition", ("*",)))
+        controller.on_event(fault(2.0, "partition", "*"))
         assert controller.in_fallback
 
     def test_overlapping_reasons_need_both_to_clear(self, testbed):
         controller, _ = make_controller(testbed, FlagEverything())
-        controller.on_supervisor_event(SupervisorEvent(1.0, "ids", "kill"))
-        controller.on_fault_event(FaultEvent(2.0, "partition", "partition", ("ids",)))
+        controller.on_event(supervisor(1.0, "kill"))
+        controller.on_event(fault(2.0, "partition", "ids"))
         assert controller.fallback_entries == 1  # one outage, two causes
-        controller.on_fault_event(FaultEvent(3.0, "heal", "partition", ("ids",)))
+        controller.on_event(fault(3.0, "heal", "ids"))
         assert controller.in_fallback  # container still down
-        controller.on_supervisor_event(SupervisorEvent(4.0, "ids", "restart"))
+        controller.on_event(supervisor(4.0, "restart"))
         assert not controller.in_fallback
-        assert [e.action for e in controller.events].count("fallback.enter") == 1
+        assert len(controller.events.by_kind("mitigation.fallback.enter")) == 1
 
 
 class TestInstallUninstall:
@@ -607,3 +618,41 @@ class TestInstallUninstall:
         assert testbed.lan.channel.traffic_filter is None
         assert controller.filter is None
         testbed.uninstall_mitigation()
+
+    def test_faults_armed_after_install_reach_the_fallback(self, testbed):
+        controller = testbed.install_mitigation(
+            MitigationPlan(model="toy", mode="monitor"), self.Trained()
+        )
+        first = len(testbed.events)
+        plan = FaultPlan.of(
+            FaultSpec(kind="partition", start=0.5, duration=1.0, targets=("ids",))
+        )
+        try:
+            testbed.apply_faults(plan)
+            testbed.sim.run(until=testbed.sim.now + 2.0)
+        finally:
+            testbed.fault_injector.detach()
+            testbed.uninstall_mitigation()
+        kinds = [e.kind for e in testbed.events.events[first:]]
+        assert kinds.count("fault.partition") == kinds.count("fault.heal") == 1
+        assert kinds.count("mitigation.fallback.enter") == 1
+        assert kinds.count("mitigation.fallback.exit") == 1
+        assert controller.fallback_entries == 1
+        assert not controller.in_fallback
+
+    def test_uninstall_unsubscribes_the_fallback(self, testbed):
+        testbed.install_mitigation(MitigationPlan(model="toy", mode="monitor"), self.Trained())
+        assert len(testbed.events.subscribers) == 1
+        testbed.uninstall_mitigation()
+        assert testbed.events.subscribers == []
+        orchestrator = testbed.orchestrator
+        orchestrator.supervise("ids", RestartPolicy(mode="on-failure", jitter=0.0))
+        first = len(testbed.events)
+        try:
+            orchestrator.kill("ids")
+            testbed.sim.run(until=testbed.sim.now + 2.0)  # restarted after 1 s
+        finally:
+            orchestrator.unsupervise("ids")
+        kinds = [e.kind for e in testbed.events.events[first:]]
+        assert "supervisor.kill" in kinds and "supervisor.restart" in kinds
+        assert not [kind for kind in kinds if kind.startswith("mitigation.")]

@@ -9,10 +9,11 @@ seed, it never blocks a benign source, and the whole defended run is
 bit-reproducible, faults included.
 """
 
-import json
+from collections import Counter
 
 import pytest
 
+from repro.obs import ObsEvent
 from repro.obs.timeline import timeline_from_result
 from repro.pipeline import run_experiment_pipeline
 from repro.pipeline.store import canonical_json
@@ -62,7 +63,8 @@ class TestDefendedRun:
         result, _ = defended
         m = result.mitigation
         assert m is not None
-        assert set(m) == {"plan", "attack_spans", "events", "summary", "recovery", "impact"}
+        assert set(m) == {"plan", "attack_spans", "summary", "recovery", "impact"}
+        assert m["summary"]["events"] == len(result.events)  # no faults: all mitigation
         assert m["plan"] == result.scenario.mitigation_plan.to_dict()
         assert len(m["attack_spans"]) == 3
 
@@ -72,8 +74,8 @@ class TestDefendedRun:
         assert summary["blocks_issued"] >= 1
         assert summary["dropped_by_blocklist"] > 100
         assert summary["syn_cookies_sent"] > 0
-        actions = {e["action"] for e in result.mitigation["events"]}
-        assert {"verdict", "block"} <= actions
+        kinds = {e.kind for e in result.events}
+        assert {"mitigation.verdict", "mitigation.block"} <= kinds
 
     def test_recovery_metrics_are_sane(self, defended):
         result, _ = defended
@@ -127,10 +129,10 @@ class TestDefendedVsMonitor:
 class TestDefendedChaos:
     def test_chaos_run_completes_with_fallback_cycles(self, chaos):
         result, _ = chaos
-        actions = [e["action"] for e in result.mitigation["events"]]
-        assert actions.count("fallback.enter") == 2  # ids kill + ids partition
-        assert actions.count("fallback.exit") == 2
-        assert actions.count("resync") == 2
+        kinds = [e.kind for e in result.events]
+        assert kinds.count("mitigation.fallback.enter") == 2  # ids kill + ids partition
+        assert kinds.count("mitigation.fallback.exit") == 2
+        assert kinds.count("mitigation.resync") == 2
         assert result.mitigation["summary"]["fallback_entries"] == 2
 
     def test_defense_survives_the_faults(self, chaos):
@@ -144,18 +146,18 @@ class TestDefendedChaos:
     def test_fallback_ordering_is_consistent(self, chaos):
         result, _ = chaos
         events = [
-            e for e in result.mitigation["events"]
-            if e["action"].startswith("fallback") or e["action"] == "resync"
+            e for e in result.events
+            if e.kind.startswith("mitigation.fallback") or e.kind == "mitigation.resync"
         ]
-        times = [e["time"] for e in events]
+        times = [e.time for e in events]
         assert times == sorted(times)
         # enter/exit alternate: never two enters without an exit between
         state = 0
         for event in events:
-            if event["action"] == "fallback.enter":
+            if event.kind == "mitigation.fallback.enter":
                 assert state == 0
                 state = 1
-            elif event["action"] == "fallback.exit":
+            elif event.kind == "mitigation.fallback.exit":
                 assert state == 1
                 state = 0
 
@@ -168,6 +170,36 @@ class TestDefendedChaos:
             faults=True,
         )
         assert canonical_json(again.mitigation) == canonical_json(result.mitigation)
+        assert again.events == result.events
+
+
+class TestOneEventStream:
+    """Fault, supervisor and mitigation events share one run log."""
+
+    def test_telemetry_mirror_equals_run_events(self, chaos):
+        scenario = defended_scenario()
+        observed, _ = run(
+            scenario,
+            fault_plan=scenario.chaos_fault_schedule(DETECT),
+            faults=True,
+            telemetry=True,
+        )
+        mirrored = [
+            ObsEvent.from_dict(entry)
+            for entry in observed.telemetry["events"]
+            if entry["kind"].split(".", 1)[0] in ("fault", "supervisor", "mitigation")
+        ]
+        assert Counter(mirrored) == Counter(observed.events)
+        # Telemetry never changes the run: the telemetry-off run agrees.
+        assert observed.events == chaos[0].events
+
+    def test_all_three_producers_recorded(self, chaos):
+        result, _ = chaos
+        prefixes = {e.kind.split(".", 1)[0] for e in result.events}
+        assert prefixes == {"fault", "supervisor", "mitigation"}
+        assert result.fault_events == [e for e in result.events if e.kind.startswith("fault.")]
+        kills = [e for e in result.events if e.kind == "supervisor.kill"]
+        assert [e.targets for e in kills] == [("ids",)]
 
 
 class TestTimeline:

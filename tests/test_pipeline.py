@@ -297,8 +297,10 @@ class TestStagedEquivalence:
         # The clean-prefix stages are shared with the full experiment;
         # the cached replay reproduces the fault bookkeeping exactly.
         assert second.fault_table() == first.fault_table()
-        assert second.fault_events == first.fault_events
-        assert second.supervisor_events == first.supervisor_events
+        assert second.events == first.events  # targets and notes included
+        assert {e.kind for e in first.events} >= {"fault.partition", "supervisor.restart"}
+        assert all(e.targets for e in first.events)
+        assert any(e.note for e in first.events)
         assert second.restarts == first.restarts
         assert second.fault_plan == first.fault_plan
         assert second.table1() == first.table1()

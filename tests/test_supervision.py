@@ -77,7 +77,8 @@ class TestKill:
         orch.kill("victim")
         assert container.state is ContainerState.FAILED
         assert not device.attached
-        assert [e.action for e in orch.events] == ["kill"]
+        assert [e.kind for e in orch.events] == ["supervisor.kill"]
+        assert [e.targets for e in orch.events] == [("victim",)]
 
     def test_kill_requires_running(self, env):
         sim, lan, orch = env
@@ -118,8 +119,11 @@ class TestRestart:
         assert [t for t in inbox if t < 5.0]
         assert not [t for t in inbox if 5.0 < t < 6.0]  # backoff gap
         assert [t for t in inbox if t > 6.0]
-        actions = [e.action for e in orch.events]
-        assert actions == ["kill", "exit", "backoff", "restart"]
+        actions = [e.kind for e in orch.events]
+        assert actions == [
+            "supervisor.kill", "supervisor.exit", "supervisor.backoff", "supervisor.restart",
+        ]
+        assert [e.note for e in orch.events] == ["", "failed", "restart in 1.00s", "attempt 1"]
 
     def test_no_policy_never_restarts(self, env):
         sim, lan, orch = env
@@ -160,7 +164,7 @@ class TestRestart:
         def crash_again():
             if container.state is ContainerState.RUNNING:
                 orch.kill("victim")
-            if not any(e.action == "giveup" for e in orch.events):
+            if not orch.events.by_kind("supervisor.giveup"):
                 sim.schedule(0.5, crash_again)
 
         orch.kill("victim")
@@ -168,12 +172,11 @@ class TestRestart:
         sim.run(until=500.0)
         assert container.state is ContainerState.FAILED
         assert container.restart_count == 3
-        assert [e.action for e in orch.events if e.action == "giveup"]
+        assert orch.events.by_kind("supervisor.giveup")
         # Backoff delays doubled on each consecutive attempt.
         delays = [
-            float(e.detail.split("restart in ")[1].rstrip("s"))
-            for e in orch.events
-            if e.action == "backoff"
+            float(e.note.split("restart in ")[1].rstrip("s"))
+            for e in orch.events.by_kind("supervisor.backoff")
         ]
         assert delays == pytest.approx([1.0, 2.0, 4.0])
 
@@ -191,9 +194,8 @@ class TestRestart:
         sim.run(until=20.0)
         # Streak was reset, so the second crash backs off from the base again.
         delays = [
-            float(e.detail.split("restart in ")[1].rstrip("s"))
-            for e in orch.events
-            if e.action == "backoff"
+            float(e.note.split("restart in ")[1].rstrip("s"))
+            for e in orch.events.by_kind("supervisor.backoff")
         ]
         assert delays == pytest.approx([1.0, 1.0])
 
@@ -226,7 +228,7 @@ class TestHealthProbe:
         assert container.state is ContainerState.FAILED
         # The probe kills the container directly, so the trace is the
         # unhealthy verdict followed by the failed exit.
-        assert [e.action for e in orch.events] == ["unhealthy", "exit"]
+        assert [e.kind for e in orch.events] == ["supervisor.unhealthy", "supervisor.exit"]
 
     def test_probe_plus_policy_revives(self, env):
         sim, lan, orch = env
