@@ -7,29 +7,11 @@ trains its models on (their 10-minute run produced ~3.0M malicious and
 ~2.2M benign packets).
 """
 
-from repro.capture.analysis import (
-    AttackInterval,
-    CaptureReport,
-    FlowStats,
-    aggregate_flows,
-    analyze,
-    attack_intervals,
-    rate_series,
-    top_talkers,
-)
 from repro.capture.dataset import DatasetSummary, TrafficDataset
 from repro.capture.synthetic import synthetic_capture
 
 __all__ = [
-    "AttackInterval",
-    "CaptureReport",
     "DatasetSummary",
-    "FlowStats",
     "TrafficDataset",
-    "aggregate_flows",
-    "analyze",
-    "attack_intervals",
-    "rate_series",
     "synthetic_capture",
-    "top_talkers",
 ]
