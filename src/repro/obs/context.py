@@ -110,7 +110,9 @@ def current() -> ObsContext:
 
 def run_log() -> EventLog:
     """A fresh always-on run log that mirrors into the current scope's events."""
-    return EventLog(mirror=_current.events)
+    log = EventLog()
+    log.mirror = _current.events
+    return log
 
 
 @contextmanager

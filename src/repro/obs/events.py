@@ -77,16 +77,16 @@ class ObsEvent:
 class EventLog:
     """An append-only, optionally disabled log of :class:`ObsEvent`.
 
-    ``mirror`` is another log that receives every recorded event (the
-    run log's telemetry mirror); ``subscribers`` are called with each
-    event after it is appended.
+    ``subscribers`` are called with each event after it is appended.
     """
 
-    def __init__(self, enabled: bool = True, mirror: "EventLog | None" = None) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self.events: list[ObsEvent] = []
-        self.mirror = mirror
         self.subscribers: list[Callable[[ObsEvent], None]] = []
+        # Another log that receives every event (a run log's telemetry
+        # mirror, wired by obs.run_log).
+        self.mirror: EventLog | None = None
         # Optional FlightRecorder mirror of recorded events (wired by
         # ObsContext.make; plain attribute to avoid imports).
         self.flight = None

@@ -30,7 +30,7 @@ from repro.ids.defense import MitigationPlan, compute_recovery_metrics
 from repro.ids.report import DetectionReport
 from repro.ml.metrics import ClassificationReport
 from repro.ml.serialization import ModelBundle, load_model_bundle, save_model_bundle
-from repro.obs.events import ObsEvent
+from repro.obs.events import events_from_dicts
 from repro.pipeline.stage import (
     PipelineContext,
     PipelineResult,
@@ -472,7 +472,7 @@ def run_experiment_pipeline(
             detection=outcome.value("detect"),
             infection_seconds=outcome.value("build")["infection_seconds"],
             mitigation=detect_art.mitigation,
-            events=[ObsEvent.from_dict(event) for event in detect_art.meta["events"]],
+            events=events_from_dicts(detect_art.meta["events"]),
         )
         if not faults:
             result: ExperimentResult = ExperimentResult(**common)

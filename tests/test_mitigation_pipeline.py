@@ -197,7 +197,11 @@ class TestOneEventStream:
         result, _ = chaos
         prefixes = {e.kind.split(".", 1)[0] for e in result.events}
         assert prefixes == {"fault", "supervisor", "mitigation"}
-        assert result.fault_events == [e for e in result.events if e.kind.startswith("fault.")]
+        # The chaos plan partitions the victim's link, then the IDS's.
+        assert [(e.kind, e.targets) for e in result.fault_events] == [
+            ("fault.partition", ("tserver",)), ("fault.heal", ("tserver",)),
+            ("fault.partition", ("ids",)), ("fault.heal", ("ids",)),
+        ]
         kills = [e for e in result.events if e.kind == "supervisor.kill"]
         assert [e.targets for e in kills] == [("ids",)]
 
