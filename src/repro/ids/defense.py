@@ -542,6 +542,7 @@ class MitigationController:
         self.upstream = upstream
         self.ids_container = ids_container
         self.events = events if events is not None else obs.run_log()
+        # This controller's own records; the run log is shared.
         self.events_recorded = 0
         self.blocks_issued = 0
         self.unblocks = 0

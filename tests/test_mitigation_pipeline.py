@@ -244,6 +244,8 @@ class TestMitigateStageCaching:
         assert canonical_json(warm_result.mitigation) == canonical_json(
             defended[0].mitigation
         )
+        # The mitigation events ride in the capture's meta, not its JSON.
+        assert warm_result.events == cold_result.events == defended[0].events
 
     def test_plan_change_misses_cache(self, tmp_path):
         # The plan lives in the scenario (and in MitigateStage params),
