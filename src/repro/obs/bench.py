@@ -80,12 +80,13 @@ def run_overhead_benchmark(iterations: int = 200_000, repeats: int = 5) -> dict:
 
 
 class _BenchEvent:
-    """Minimal stand-in for a kernel Event (callback + args)."""
+    """Minimal stand-in for a kernel Event (time, priority, callback + args)."""
 
-    __slots__ = ("time", "callback", "args")
+    __slots__ = ("time", "priority", "callback", "args")
 
     def __init__(self, callback, args=()) -> None:
         self.time = 0.0
+        self.priority = 0
         self.callback = callback
         self.args = args
 
@@ -96,7 +97,7 @@ def _loop_dispatch_direct(events) -> None:
 
 
 def _loop_dispatch_gated(events, profiler) -> None:
-    # The exact shape of the kernel's dispatch sites: one `is None`
+    # The exact shape of the kernel's dispatch site: one `is None`
     # check per event when profiling is off.
     for event in events:
         if profiler is None:

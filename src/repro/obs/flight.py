@@ -23,7 +23,7 @@ from typing import Any
 
 from repro.obs.profile import callsite_label
 
-#: Default ring size: enough to see the last few bucket drains and the
+#: Default ring size: enough to see the last few same-instant buckets and the
 #: spans around them without holding a whole run in memory.
 DEFAULT_CAPACITY = 512
 

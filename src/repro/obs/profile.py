@@ -1,9 +1,8 @@
 """Deterministic attribution profiler for the event kernel.
 
-The kernel dispatches every simulation callback through one of two sites
-(the fast path and the bucket-drain loop in
-:meth:`~repro.sim.core.Simulator.run`); when a :class:`KernelProfiler`
-is active those sites route through :meth:`KernelProfiler.dispatch`,
+The kernel dispatches every simulation callback from one site in
+:meth:`~repro.sim.core.Simulator.run`; when a :class:`KernelProfiler`
+is active that site routes through :meth:`KernelProfiler.dispatch`,
 which times each callback and attributes the cost to the *owner
 subsystem* of the handler (queue, channel, tcp, probe, filter, bot,
 app, …), resolved from the callback's defining module.
@@ -22,7 +21,7 @@ Two export planes with different determinism guarantees:
   convention.
 
 Profiling is opt-in via ``ObsContext.make(profile=True)`` (or
-``ddoshield profile``); with it off the kernel's dispatch sites cost
+``ddoshield profile``); with it off the kernel's dispatch site costs
 one ``is None`` check per event, and :mod:`repro.obs.bench` pins that
 overhead ratio.  Like all telemetry, the profiler never schedules
 events or consumes RNG — a profiled run is bit-identical in simulation
@@ -36,7 +35,7 @@ state.
 from __future__ import annotations
 
 import time as _time
-from typing import Any, Iterable
+from typing import Any
 
 from repro.obs.registry import Histogram
 
@@ -126,13 +125,17 @@ class KernelProfiler:
         self._stats: dict[Any, _CallsiteStat] = {}
         self.buckets_drained = 0
         self.bucket_events = 0
+        # The previous dispatch's (time, priority), and whether it is
+        # already part of a counted bucket.
+        self._last_key: tuple[float, int] | None = None
+        self._in_bucket = False
         # Lazily imported to keep repro.obs importable before repro.sim
         # (sim modules import repro.obs at module level).
         self._packet_cls: type | None = None
         self._periodic_cls: type | None = None
 
     # ------------------------------------------------------------------
-    # Hot path (called from Simulator.run's dispatch sites)
+    # Hot path (called from Simulator.run's dispatch site)
 
     def _bind_classes(self) -> None:
         from repro.sim.core import PeriodicEvent
@@ -144,10 +147,21 @@ class KernelProfiler:
     def dispatch(self, event: Any) -> None:
         """Run ``event``'s callback and attribute its wall time.
 
-        Exceptions propagate unchanged (the kernel's mid-bucket re-push
-        semantics rely on that); the partial cost up to the raise is
-        still recorded.
+        Consecutive dispatches that share one bit-equal ``(time,
+        priority)`` form a bucket; see :meth:`bucket_stats`.  Exceptions
+        propagate unchanged (the kernel leaves undispatched events
+        pending); the partial cost up to the raise is still recorded.
         """
+        key = (event.time, event.priority)
+        if key == self._last_key:  # repro: lint-ok[FLT001]
+            if not self._in_bucket:
+                self._in_bucket = True
+                self.buckets_drained += 1
+                self.bucket_events += 1
+            self.bucket_events += 1
+        else:
+            self._last_key = key
+            self._in_bucket = False
         started = _time.perf_counter()  # repro: lint-ok[TIME001] -- profiler measurement, isolated from simulation state
         try:
             event.callback(*event.args)
@@ -177,11 +191,6 @@ class KernelProfiler:
             if isinstance(arg, self._packet_cls):
                 stat.packets += 1
 
-    def note_bucket(self, n_events: int) -> None:
-        """One equal-(time, priority) bucket of ``n_events`` was drained."""
-        self.buckets_drained += 1
-        self.bucket_events += n_events
-
     # ------------------------------------------------------------------
     # Aggregation
 
@@ -190,7 +199,8 @@ class KernelProfiler:
 
     def bucket_stats(self) -> dict:
         """Packets carried and same-instant buckets drained (deterministic
-        for a seed)."""
+        for a seed).  A bucket is a run of two or more consecutive
+        dispatches with one bit-equal ``(time, priority)``."""
         return {
             "packets": sum(s.packets for s in self._stats.values()),
             "buckets_drained": self.buckets_drained,
@@ -337,22 +347,3 @@ class KernelProfiler:
             lines.append(f"{stat.owner};{stat.label} {weight}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-
-def merge_profiles(profiles: Iterable[KernelProfiler]) -> KernelProfiler:
-    """Fold several profilers (e.g. per-phase) into one summary view."""
-    merged = KernelProfiler()
-    for profiler in profiles:
-        merged.buckets_drained += profiler.buckets_drained
-        merged.bucket_events += profiler.bucket_events
-        for func, stat in profiler._stats.items():
-            into = merged._stats.get(func)
-            if into is None:
-                into = merged._stats[func] = _CallsiteStat(stat.label, stat.owner)
-            into.events += stat.events
-            into.wall_seconds += stat.wall_seconds
-            into.packets += stat.packets
-            into.hist.count += stat.hist.count
-            into.hist.total += stat.hist.total
-            for i, n in enumerate(stat.hist.bucket_counts):
-                into.hist.bucket_counts[i] += n
-    return merged

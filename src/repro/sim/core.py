@@ -46,7 +46,9 @@ class Event:
     comparison never reaches the event itself — callbacks and payload
     are never compared (which would either raise or, worse, order by
     ``id()`` and silently differ between runs).  Events themselves
-    define no ordering.
+    define no ordering.  The bucket-shuffle race detector re-pushes a
+    permuted bucket under fresh heap ``seq`` numbers; the event keeps
+    the ``seq`` it was scheduled with.
     """
 
     time: float
@@ -206,7 +208,7 @@ class Simulator:
             self._obs_compactions = registry.counter("sim.heap_compactions")
             self._obs_buckets_drained = registry.counter("sim.buckets_drained")
         # Flight recorder and profiler ride the same ambient context;
-        # both default to None so the dispatch sites pay one `is None`
+        # both default to None so the dispatch site pays one `is None`
         # check per event when observability is off (bound pinned by
         # repro.obs.bench / tests/test_obs.py).
         flight = ctx.flight
@@ -278,7 +280,7 @@ class Simulator:
                 else:
                     kept.append(entry)
             # In-place so run()'s local heap alias stays valid when a
-            # callback's cancellations trigger a sweep mid-drain.
+            # callback's cancellations trigger a sweep mid-run.
             self._heap[:] = kept
             heapq.heapify(self._heap)
             self._cancelled_in_heap = 0
@@ -362,7 +364,9 @@ class Simulator:
     def run(self, until: float | None = None) -> None:
         """Run events in order until the queue drains or ``until`` is reached.
 
-        When ``until`` is given, virtual time is advanced exactly to it on
+        One event is popped and dispatched per iteration, so a ``stop()``
+        or an exception leaves every undispatched event pending.  When
+        ``until`` is given, virtual time is advanced exactly to it on
         return even if the queue drained earlier, so back-to-back ``run``
         calls observe monotonic time.
         """
@@ -371,9 +375,14 @@ class Simulator:
         self._running = True
         self._stopped = False
         heap = self._heap
+        shuffle = self._shuffle_rng
+        # Telemetry counts buckets: runs of consecutive dispatches that
+        # share one bit-equal (time, priority).
+        last_key = None
+        in_bucket = False
         try:
             while heap and not self._stopped:
-                when, priority, _, event = heap[0]
+                when, priority, seq, event = heap[0]
                 if until is not None and when > until:
                     break
                 heapq.heappop(heap)
@@ -385,92 +394,70 @@ class Simulator:
                     # COMPACT_FRACTION trigger spurious sweeps on long runs.
                     self._cancelled_in_heap -= 1
                     continue
+                if (
+                    shuffle is not None
+                    and seq == event.seq  # not yet permuted
+                    and heap
+                    and heap[0][0] == when  # repro: lint-ok[FLT001]
+                    and heap[0][1] == priority
+                ):
+                    self._shuffle_bucket(event)
+                    continue
                 if self.sanitizer is not None:
                     self.sanitizer.check_event(event, self._now)
                 self._now = when
-                # Bucket membership is *bit-equal* time by design: only
-                # events whose floats compare equal are coalesced, anything
-                # off by an ulp dispatches separately (never wrongly merged).
-                if not (
-                    heap
-                    and heap[0][0] == when  # repro: lint-ok[FLT001]
-                    and heap[0][1] == priority
-                ):
-                    # Fast path: no bucket mates (timers, app think time).
-                    self._events_executed += 1
-                    if self._obs_dispatched is not None:
-                        self._obs_dispatched.inc()
-                        self._obs_heap_depth.set(len(heap))
-                    if self._flight is not None:
-                        self._flight.note_dispatch(when, event.callback)
-                    if self._profiler is None:
-                        event.callback(*event.args)
-                    else:
-                        self._profiler.dispatch(event)
-                    continue
-                # Drain the whole (time, priority) bucket in one pop-loop.
-                # Events scheduled *during* the bucket land behind it in seq
-                # order, so they run after the drained ones — exactly as the
-                # scalar loop would order them.
-                bucket = [event]
-                while (
-                    heap
-                    and heap[0][0] == when  # repro: lint-ok[FLT001]
-                    and heap[0][1] == priority
-                ):
-                    mate = heapq.heappop(heap)[3]
-                    mate._in_heap = False
-                    if mate.cancelled:
-                        self._cancelled_in_heap -= 1
-                        continue
-                    bucket.append(mate)
-                if self._obs_buckets_drained is not None:
-                    self._obs_buckets_drained.inc()
+                self._events_executed += 1
+                if self._obs_dispatched is not None:
+                    self._obs_dispatched.inc()
                     self._obs_heap_depth.set(len(heap))
-                if self._profiler is not None:
-                    self._profiler.note_bucket(len(bucket))
-                if self._shuffle_rng is not None and len(bucket) > 1:
-                    # Race detector: bucket mates claim to commute, so a
-                    # deterministic permutation must not change results.
-                    # (Events scheduled *during* the bucket still run
-                    # after it — only the claimed-commutative prefix is
-                    # permuted.)
-                    self._shuffle_rng.shuffle(bucket)
-                i = 0
-                n = len(bucket)
-                try:
-                    while i < n:
-                        ev = bucket[i]
-                        i += 1
-                        if ev.cancelled:
-                            # Cancelled by an earlier callback in this bucket.
-                            continue
-                        if self.sanitizer is not None:
-                            self.sanitizer.check_event(ev, self._now)
-                        self._events_executed += 1
-                        if self._obs_dispatched is not None:
-                            self._obs_dispatched.inc()
-                        if self._flight is not None:
-                            self._flight.note_dispatch(ev.time, ev.callback)
-                        if self._profiler is None:
-                            ev.callback(*ev.args)
-                        else:
-                            self._profiler.dispatch(ev)
-                        if self._stopped:
-                            break
-                finally:
-                    # stop() or an exception mid-bucket: the unexecuted tail
-                    # must stay pending, as it would have in the scalar loop.
-                    for ev in bucket[i:]:
-                        if not ev.cancelled:
-                            ev._in_heap = True
-                            heapq.heappush(heap, (ev.time, ev.priority, ev.seq, ev))
+                    key = (when, priority)
+                    if key == last_key:  # repro: lint-ok[FLT001]
+                        if not in_bucket:
+                            in_bucket = True
+                            self._obs_buckets_drained.inc()
+                    else:
+                        last_key = key
+                        in_bucket = False
+                if self._flight is not None:
+                    self._flight.note_dispatch(when, event.callback)
+                if self._profiler is None:
+                    event.callback(*event.args)
+                else:
+                    self._profiler.dispatch(event)
             if until is not None and not self._stopped and self._now < until:
                 self._now = until
         finally:
             self._running = False
         if self.sanitizer is not None:
             self.sanitizer.check_conservation(self._now)
+
+    def _shuffle_bucket(self, first: Event) -> None:
+        """Race detector: bucket mates claim to commute, so a seeded
+        permutation of ``[first, *mates]`` must not change results.
+
+        The permuted bucket goes back on the heap under fresh ``seq``
+        numbers, so events it schedules at the same instant still run
+        after it, and a ``stop()`` or an exception leaves its rest
+        pending.  Each event keeps the ``seq`` it was scheduled with:
+        a heap entry whose ``seq`` differs was already permuted.
+        """
+        heap = self._heap
+        bucket = [first]
+        while (
+            heap
+            and heap[0][0] == first.time  # repro: lint-ok[FLT001]
+            and heap[0][1] == first.priority
+        ):
+            mate = heapq.heappop(heap)[3]
+            if mate.cancelled:
+                mate._in_heap = False
+                self._cancelled_in_heap -= 1
+            else:
+                bucket.append(mate)
+        self._shuffle_rng.shuffle(bucket)
+        for event in bucket:
+            event._in_heap = True
+            heapq.heappush(heap, (event.time, event.priority, next(self._seq), event))
 
     def finalize(self) -> None:
         """Run end-of-simulation sanitizer checks (idempotent).

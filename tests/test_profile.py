@@ -140,6 +140,19 @@ class TestKernelProfiler:
         )
         assert profiled_events == run["events"]
 
+    def test_bucket_stats_count_runs_of_same_instant_dispatches(self):
+        with obs.scope(profile=True) as ctx:
+            sim = Simulator()
+            for delay in (1.0, 1.0, 1.0, 2.0, 3.0, 3.0):
+                sim.schedule(delay, lambda: None)
+            # Same instant, later priority: not a mate of the t=1 bucket.
+            sim.schedule(1.0, lambda: None, priority=Simulator.PRIORITY_TIMER)
+            sim.run()
+        buckets = ctx.profiler.bucket_stats()
+        assert buckets["buckets_drained"] == 2
+        assert buckets["bucket_events"] == 5
+        assert ctx.registry.value("sim.buckets_drained") == 2
+
     def test_deterministic_exports_byte_identical_across_repeats(self):
         _, first = _profiled_flood(seed=11)
         _, second = _profiled_flood(seed=11)

@@ -2,11 +2,14 @@
 
 The kernel claims equal-``(time, priority)`` bucket mates commute
 (ORD002's contract).  The shuffle sanitizer *tests* that claim at
-runtime: a deterministic permutation of every same-bucket drain must
+runtime: a deterministic permutation of every same-instant bucket must
 leave all observable results bit-identical.  These tests pin
 
 * the mechanism — shuffling really permutes dispatch, deterministically
   per seed, and a deliberately order-dependent workload is caught;
+* the re-keyed bucket — a ``stop()`` or an exception mid-bucket leaves
+  the rest of the permuted bucket pending, and it still runs before the
+  events the bucket scheduled at the same instant;
 * the contract — kernel state hashes and full-experiment verdicts are
   bit-identical across shuffle seeds.
 """
@@ -72,6 +75,61 @@ class TestShuffleMechanism:
         assert last_writer(None) == 7  # schedule order: last scheduled wins
         winners = {last_writer(seed) for seed in range(1, 6)}
         assert winners != {7}  # some permutation exposes the race
+
+
+def _interrupted_bucket(seed, interrupt=None):
+    """Eight members at t=1 under shuffle ``seed`` (plus a mate cancelled
+    up front).  The first member to run cancels a pending mate and
+    schedules a same-instant event; the second one to run applies
+    ``interrupt``: ``"stop"``, ``"raise"`` or nothing."""
+    sim = Simulator(sanitize=True, shuffle_buckets=seed)
+    order, handles = [], {}
+
+    def member(tag):
+        order.append(tag)
+        if len(order) == 1:
+            handles[7 if tag != 7 else 6].cancel()
+            sim.schedule(0.0, order.append, "spawned")
+        elif len(order) == 2 and interrupt == "stop":
+            sim.stop()
+        elif len(order) == 2 and interrupt == "raise":
+            raise RuntimeError("mid-bucket")
+
+    for tag in range(8):
+        handles[tag] = sim.schedule(1.0, member, tag)
+    sim.schedule(1.0, member, "cancelled up front").cancel()
+    return sim, order
+
+
+def _uninterrupted_order(seed):
+    sim, order = _interrupted_bucket(seed)
+    sim.run()
+    return order
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+class TestShuffledBucketTail:
+    def test_stop_mid_bucket_leaves_the_tail_pending(self, seed):
+        sim, order = _interrupted_bucket(seed, "stop")
+        sim.run()
+        assert len(order) == 2
+        assert sim.pending_events == 6  # five members and the spawned event
+        sim.run()
+        assert order[-1] == "spawned"
+        assert len(set(order[:-1])) == len(order) - 1 == 7  # one was cancelled
+        assert order == _uninterrupted_order(seed)
+        sim.finalize()  # the kernel-ledger check raises on drift
+
+    def test_exception_mid_bucket_loses_and_repeats_no_member(self, seed):
+        sim, order = _interrupted_bucket(seed, "raise")
+        with pytest.raises(RuntimeError, match="mid-bucket"):
+            sim.run()
+        assert len(order) == 2
+        sim.run()
+        assert order[-1] == "spawned"
+        assert len(set(order[:-1])) == len(order) - 1 == 7
+        assert order == _uninterrupted_order(seed)
+        sim.finalize()
 
 
 class TestShuffleContract:

@@ -1,9 +1,9 @@
 """Batch-dispatch kernel tests: bucket ordering, anchoring, cancellation,
 flood captures and the segmented topology.
 
-The kernel drains each equal-``(time, priority)`` bucket of events in
-one pop-loop; that must be an *optimisation*, not a semantics change.
-These tests pin the orders, tick instants and counts it must keep, and
+The kernel dispatches one event at a time, in ``(time, priority, seq)``
+order, also within an equal-``(time, priority)`` bucket.  These tests
+pin the orders, tick instants and counts it must keep, and
 the captures and verdicts that floods sent as packet trains (the train
 plane, since deleted) produced: every frame now moves on its own, and
 it must keep producing them.
@@ -36,13 +36,10 @@ from repro.testbed import AttackPhase, Scenario, Testbed
     )
 )
 def test_property_batch_scheduling_preserves_scalar_order(jobs):
-    """Bucket-drain dispatch runs each equal-``(time, priority)`` batch of
-    events in the order one-at-a-time heap pops would: ``(time,
-    priority, seq)``.
+    """Events run in ``(time, priority, seq)`` order.
 
     Delays are drawn from a coarse grid so many events share a (time,
-    priority) bucket and the bucket-drain path is exercised, not just
-    the singleton fast path.
+    priority) bucket, not just lone events.
     """
     sim = Simulator()
     order = []
@@ -61,7 +58,7 @@ def test_events_scheduled_during_bucket_run_after_it():
     def spawner(tag):
         order.append(tag)
         if tag == "first":
-            # Same timestamp as the bucket being drained.
+            # Same timestamp as the bucket being run.
             sim.schedule(0.0, order.append, "spawned")
 
     sim.schedule(1.0, spawner, "first")

@@ -296,7 +296,7 @@ def test_property_time_never_goes_backwards(schedule):
 def _schedule_mixed_load(sim, callback):
     """500 callbacks up front (half alone, half in buckets of five), each
     scheduling one more from inside the run: 1,000 callbacks in all,
-    through both dispatch paths and both schedule calls."""
+    lone and same-instant ones, through both schedule calls."""
 
     def first(i):
         callback()
