@@ -75,16 +75,11 @@ class Testbed:
 
     __test__ = False  # "Test" prefix is the product name, not a pytest class
 
-    def __init__(
-        self,
-        scenario: Scenario | None = None,
-        sanitize: bool | str | None = None,
-        shuffle_buckets: int | None = None,
-    ) -> None:
+    def __init__(self, scenario: Scenario | None = None) -> None:
         self.scenario = scenario or Scenario()
-        # sanitize=None defers to REPRO_SANITIZE; shuffle_buckets=None
-        # defers to REPRO_SHUFFLE (the bucket-shuffle race detector).
-        self.sim = Simulator(sanitize=sanitize, shuffle_buckets=shuffle_buckets)
+        # REPRO_SANITIZE arms the runtime sanitizers and REPRO_SHUFFLE
+        # the bucket-shuffle race detector.
+        self.sim = Simulator()
         if self.scenario.devices_per_segment > 0:
             # Hierarchical mode: dev containers go to leaf segments
             # behind gateways; tserver/attacker/ids stay on the backbone.

@@ -241,7 +241,7 @@ class ExperimentResult:
         Two runs of the same scenario and seed must produce the same
         fingerprint under any claimed-equivalent execution (stages
         served from the artifact cache or recomputed, any
-        ``Simulator(shuffle_buckets=…)`` seed); a difference means an
+        ``REPRO_SHUFFLE`` seed); a difference means an
         order dependence leaked into results.  ``tests/goldens.json``
         pins it for ``paper-baseline`` at seeds 7 and 11.
         """
@@ -396,7 +396,6 @@ def run_full_experiment(
     specs: Sequence[ModelSpec] | None = None,
     store: "object | str | None" = None,
     telemetry: bool = False,
-    shuffle_buckets: int | None = None,
 ) -> ExperimentResult:
     """The complete §IV-D procedure on one testbed instance.
 
@@ -407,40 +406,19 @@ def run_full_experiment(
     cache directory path) to serve unchanged stages from the
     content-addressed cache.
 
-    ``shuffle_buckets`` arms the event kernel's bucket-shuffle race
-    detector for this run (equivalent to ``REPRO_SHUFFLE=<seed>``): any
-    non-commuting same-bucket event handlers change observable results.
-    The seed is deliberately *not* a :class:`Scenario` field — it must
-    never enter stage cache keys — so don't combine it with ``store``
-    (cached stages would bypass the shuffled simulation).
+    ``REPRO_SHUFFLE=<seed>`` arms the event kernel's bucket-shuffle race
+    detector.  Don't combine it with ``store``: the seed is in no stage
+    key, so a shuffled run reads and writes the unshuffled entries.
     """
-    import os
-
     from repro.pipeline.stages import run_experiment_pipeline
 
-    previous = os.environ.get("REPRO_SHUFFLE")
-    if shuffle_buckets is not None:
-        if store is not None:
-            raise ValueError(
-                "shuffle_buckets cannot be combined with store: cached "
-                "stages would be served without re-running the shuffled "
-                "simulation"
-            )
-        os.environ["REPRO_SHUFFLE"] = str(shuffle_buckets)
-    try:
-        result, _ = run_experiment_pipeline(
-            scenario=scenario,
-            train_duration=train_duration,
-            detect_duration=detect_duration,
-            specs=specs,
-            faults=False,
-            store=store,
-            telemetry=telemetry,
-        )
-    finally:
-        if shuffle_buckets is not None:
-            if previous is None:
-                os.environ.pop("REPRO_SHUFFLE", None)
-            else:
-                os.environ["REPRO_SHUFFLE"] = previous
+    result, _ = run_experiment_pipeline(
+        scenario=scenario,
+        train_duration=train_duration,
+        detect_duration=detect_duration,
+        specs=specs,
+        faults=False,
+        store=store,
+        telemetry=telemetry,
+    )
     return result
