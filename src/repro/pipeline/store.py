@@ -1,11 +1,12 @@
 """Content-addressed artifact storage for the staged experiment pipeline.
 
 An :class:`ArtifactStore` maps a *stage key* — the SHA-256 of the
-canonical JSON of ``(stage name, scenario dict, stage parameters,
-upstream stage keys)`` — to a committed directory of artifact files.
-Because the key is derived purely from inputs, an unchanged stage with
-unchanged upstream stages hashes to the same key on every run: a cache
-hit that lets the runner skip re-executing it entirely.
+canonical JSON of ``(source digest, stage name, scenario dict, stage
+parameters, upstream stage keys)`` — to a committed directory of
+artifact files.  Because the key is derived purely from the code and
+the inputs, an unchanged stage with unchanged upstream stages hashes to
+the same key on every run: a cache hit that lets the runner skip
+re-executing it entirely.
 
 Commits are atomic (write into a temp directory, then ``os.replace``
 into place), so concurrent campaign workers sharing one cache directory
@@ -15,6 +16,7 @@ the same key, the loser's rename simply discards its duplicate.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -24,13 +26,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-#: Store format version; bump to invalidate every existing cache entry
-#: when artifact formats change incompatibly.  Stage keys do not cover
-#: code, so a change that moves stage results (version 2: the float32
-#: CNN) bumps it too.  Version 3: capture artifacts keep their slice of
-#: the run log as ``meta["events"]``.
-STORE_VERSION = 3
-
 #: Marker file distinguishing a committed entry from debris.
 _COMMIT_MARKER = "ARTIFACT.json"
 
@@ -38,6 +33,27 @@ _COMMIT_MARKER = "ARTIFACT.json"
 def canonical_json(payload: Any) -> str:
     """Deterministic JSON: sorted keys, no whitespace variance."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+@functools.cache
+def source_digest() -> str:
+    """SHA-256 over the ``repro`` package's ``.py`` files, once per process.
+
+    Every stage key covers it, so any code change misses the entries
+    written before it: artifact formats and stage results need no
+    manual version bump.  Hashes each file's package-relative path,
+    length and bytes, in sorted path order.
+    """
+    package = Path(__file__).resolve().parent.parent
+    files = sorted(
+        (path.relative_to(package).as_posix(), path) for path in package.rglob("*.py")
+    )
+    digest = hashlib.sha256()
+    for name, path in files:
+        data = path.read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def stage_key(
@@ -52,7 +68,7 @@ def stage_key(
     change anywhere upstream cascades into fresh keys downstream.
     """
     payload = {
-        "version": STORE_VERSION,
+        "source": source_digest(),
         "stage": stage,
         "scenario": scenario,
         "params": params,
@@ -128,7 +144,7 @@ class ArtifactStore:
         construction.  Losing a publish race is not an error — the
         already-committed entry wins and the duplicate is removed.
         """
-        marker = {"key": key, "version": STORE_VERSION, **(meta or {})}
+        marker = {"key": key, "source": source_digest(), **(meta or {})}
         (staging / _COMMIT_MARKER).write_text(json.dumps(marker, indent=2, sort_keys=True))
         entry = self.entry_dir(key)
         entry.parent.mkdir(parents=True, exist_ok=True)

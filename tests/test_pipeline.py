@@ -49,6 +49,7 @@ class TestArtifactStore:
         assert (entry / "data.json").read_text() == "{}"
         marker = json.loads((entry / "ARTIFACT.json").read_text())
         assert marker["stage"] == "x"
+        assert marker["source"] == store_module.source_digest()
 
     def test_missing_key(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -200,14 +201,12 @@ class TestPipelineRunner:
         PipelineRunner(make_chain(log), store=store).run(Scenario(n_devices=2))
         assert log == ["build", "capture", "pure"]
 
-    def test_entries_of_an_older_store_version_miss(self, tmp_path, monkeypatch):
-        # Stage keys do not cover code, so a bumped version must not be
-        # served a train-models or detect artifact from the one before it.
+    def test_entries_of_another_source_digest_miss(self, tmp_path, monkeypatch):
+        # Stage keys cover code: an entry written by other sources must
+        # not be served to this code, however equal the inputs.
         store = ArtifactStore(tmp_path)
         with monkeypatch.context() as patched:
-            patched.setattr(
-                store_module, "STORE_VERSION", store_module.STORE_VERSION - 1
-            )
+            patched.setattr(store_module, "source_digest", lambda: "0" * 64)
             PipelineRunner(make_chain([]), store=store).run(Scenario(n_devices=1))
         assert len(store) == 3
         log = []
