@@ -26,7 +26,7 @@ from typing import Sequence
 
 from repro import obs
 from repro.pipeline.stages import run_experiment_pipeline
-from repro.testbed.experiment import ExperimentResult, FaultExperimentResult
+from repro.testbed.experiment import FaultExperimentResult
 from repro.testbed.scenario import Scenario
 
 
@@ -530,28 +530,3 @@ def run_campaign(
             records = pool.starmap(execute_run_safe, calls)
     return CampaignReport(records=records)
 
-
-def experiment_to_record(
-    result: ExperimentResult, label: str, stage_cache: dict[str, dict] | None = None
-) -> RunRecord:
-    """Adapt a standalone :class:`ExperimentResult` into a campaign record."""
-    return RunRecord(
-        label=label,
-        seed=result.scenario.seed,
-        scenario=result.scenario.to_dict(),
-        faults=isinstance(result, FaultExperimentResult),
-        infection_seconds=result.infection_seconds,
-        train_summary=_summary_dict(result.train_summary),
-        detect_summary=_summary_dict(result.detect_summary),
-        table1=[list(row) for row in result.table1()],
-        table2=[list(row) for row in result.table2()],
-        training_metrics=[list(row) for row in result.training_metrics()],
-        fault_table=(
-            [list(row) for row in result.fault_table()]
-            if isinstance(result, FaultExperimentResult)
-            else None
-        ),
-        stage_cache=stage_cache or {},
-        elapsed_seconds=0.0,
-        recovery=(result.mitigation or {}).get("recovery"),
-    )
