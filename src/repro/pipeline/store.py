@@ -1,12 +1,12 @@
 """Content-addressed artifact storage for the staged experiment pipeline.
 
 An :class:`ArtifactStore` maps a *stage key* — the SHA-256 of the
-canonical JSON of ``(source digest, stage name, scenario dict, stage
-parameters, upstream stage keys)`` — to a committed directory of
-artifact files.  Because the key is derived purely from the code and
-the inputs, an unchanged stage with unchanged upstream stages hashes to
-the same key on every run: a cache hit that lets the runner skip
-re-executing it entirely.
+canonical JSON of ``(source digest, shuffle seed, stage name, scenario
+dict, stage parameters, upstream stage keys)`` — to a committed
+directory of artifact files.  Because the key is derived purely from
+the code and the inputs, an unchanged stage with unchanged upstream
+stages hashes to the same key on every run: a cache hit that lets the
+runner skip re-executing it entirely.
 
 Commits are atomic (write into a temp directory, then ``os.replace``
 into place), so concurrent campaign workers sharing one cache directory
@@ -65,10 +65,15 @@ def stage_key(
     """The content hash identifying one stage invocation.
 
     ``upstream`` maps dependency stage names to *their* keys, so any
-    change anywhere upstream cascades into fresh keys downstream.
+    change anywhere upstream cascades into fresh keys downstream.  The
+    resolved ``REPRO_SHUFFLE`` seed is part of the key, so a shuffled
+    run never reads or writes an unshuffled run's entries.
     """
+    from repro.analysis.sanitizers import shuffle_seed_from_env
+
     payload = {
         "source": source_digest(),
+        "shuffle": shuffle_seed_from_env(),
         "stage": stage,
         "scenario": scenario,
         "params": params,

@@ -86,12 +86,15 @@ class TestStageKey:
         a = stage_key("s", {"seed": 1}, {"d": 2.0}, {"up": "k1"})
         assert a == stage_key("s", {"seed": 1}, {"d": 2.0}, {"up": "k1"})
 
-    def test_sensitive_to_every_component(self):
+    def test_sensitive_to_every_component(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SHUFFLE", raising=False)
         base = stage_key("s", {"seed": 1}, {"d": 2.0}, {"up": "k1"})
         assert stage_key("t", {"seed": 1}, {"d": 2.0}, {"up": "k1"}) != base
         assert stage_key("s", {"seed": 2}, {"d": 2.0}, {"up": "k1"}) != base
         assert stage_key("s", {"seed": 1}, {"d": 3.0}, {"up": "k1"}) != base
         assert stage_key("s", {"seed": 1}, {"d": 2.0}, {"up": "k2"}) != base
+        monkeypatch.setenv("REPRO_SHUFFLE", "1")
+        assert stage_key("s", {"seed": 1}, {"d": 2.0}, {"up": "k1"}) != base
 
 
 # ----------------------------------------------------------------------
@@ -213,6 +216,22 @@ class TestPipelineRunner:
         result = PipelineRunner(make_chain(log), store=store).run(Scenario(n_devices=1))
         assert log == ["build", "capture", "pure"]
         assert not result.cache_hits
+
+    def test_shuffled_run_misses_the_unshuffled_entries(self, tmp_path, monkeypatch):
+        # A REPRO_SHUFFLE run permutes same-instant events, so it must
+        # neither be served nor overwrite the unshuffled run's entries.
+        store = ArtifactStore(tmp_path)
+        monkeypatch.delenv("REPRO_SHUFFLE", raising=False)
+        PipelineRunner(make_chain([]), store=store).run(Scenario(n_devices=1))
+        monkeypatch.setenv("REPRO_SHUFFLE", "1")
+        log = []
+        result = PipelineRunner(make_chain(log), store=store).run(Scenario(n_devices=1))
+        assert log == ["build", "capture", "pure"]
+        assert not result.cache_hits
+        assert len(store) == 6
+        monkeypatch.delenv("REPRO_SHUFFLE")
+        result = PipelineRunner(make_chain([]), store=store).run(Scenario(n_devices=1))
+        assert set(result.cache_hits) == {"build", "capture", "pure"}
 
     def test_finalizers_run_after_success(self):
         calls = []
