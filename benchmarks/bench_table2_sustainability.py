@@ -7,12 +7,14 @@ Paper (DSN'24, Table II):
     K-Means   67.88     86.83         11.20
     CNN       65.94     275.85        736.30
 
-The bench regenerates the rows from real measurements: CPU is actual
-``process_time`` per window against the documented IoT budget, memory is
-the real tracemalloc peak of each window's detection compute, and model
-size is the pickled PKL size.  Shape assertions: the K-Means model is by
-far the smallest, the CNN occupies the most working memory, and RF/CNN
-model sizes are within the same order of magnitude.
+The bench regenerates the rows from real measurements: CPU is the
+detecting thread's ``thread_time`` per window, with no tracer running,
+against the documented IoT budget; memory is the real tracemalloc peak
+of one traced re-run of the busiest window's detection compute (the
+working set an IoT box must provision); model size is the pickled PKL
+size.  Shape assertions: the K-Means model is by far the smallest, the
+CNN occupies the most working memory, and RF/CNN model sizes are within
+the same order of magnitude.
 """
 
 from repro.ids import RealTimeIds

@@ -146,8 +146,9 @@ class CnnClassifier:
         self.epochs = epochs
         self.batch_size = batch_size
         self.lr = lr
-        # Small inference batches bound the im2col working set — the
-        # memory-constrained-IoT deployment posture Table II measures.
+        # Small inference batches bound the im2col working set, and so
+        # the busiest window's peak that Table II's memory column reports
+        # — the memory-constrained-IoT deployment posture.
         self.inference_batch = inference_batch
         self.random_state = random_state
         self.net: Sequential | None = None

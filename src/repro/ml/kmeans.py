@@ -29,7 +29,7 @@ def _pairwise_sq_dists(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 def _nearest_center(X: np.ndarray, centers: np.ndarray, chunk: int = 256) -> np.ndarray:
     """argmin over centers, computed in row chunks to bound the working set
-    (the IDS meters per-window peak memory, Table II)."""
+    (Table II's memory column is the busiest window's peak)."""
     out = np.empty(len(X), dtype=int)
     for start in range(0, len(X), chunk):
         block = X[start : start + chunk]

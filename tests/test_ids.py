@@ -1,5 +1,7 @@
 """Tests for the real-time IDS unit: live tap, engine, meter, report."""
 
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -296,34 +298,115 @@ class TestFinishOutageAccounting:
         assert ids.records_dropped_late == 0
 
 
+class SpyModel:
+    """Benign verdicts; records ``(rows, tracing)`` at every ``predict``.
+
+    ``fail_rows`` makes a window of exactly that many rows raise.
+    """
+
+    def __init__(self, fail_rows=None):
+        self.fail_rows = fail_rows
+        self.calls = []
+
+    def predict(self, X):
+        self.calls.append((len(X), tracemalloc.is_tracing()))
+        if len(X) == self.fail_rows:
+            raise RuntimeError("classifier fault")
+        return np.zeros(len(X), dtype=int)
+
+
+def sized_stream(sizes):
+    """Window ``i`` holds ``sizes[i]`` packets."""
+    return RecordBatch.from_records(
+        [record(s + i / (n + 1)) for s, n in enumerate(sizes) for i in range(n)]
+    )
+
+
+class TestMemoryReRun:
+    """Windows are scored untraced; ``finish`` traces one re-run of the
+    busiest scored window for Table II's memory column."""
+
+    def test_windows_are_scored_untraced(self):
+        spy = SpyModel()
+        RealTimeIds(spy, "spy").process(sized_stream([3, 7, 5, 7]))
+        assert [rows for rows, _ in spy.calls[:4]] == [3, 7, 5, 7]
+        if not tracemalloc.is_tracing():
+            assert not any(traced for _, traced in spy.calls[:4])
+
+    def test_finish_re_runs_the_busiest_window_once_traced(self):
+        spy = SpyModel()
+        report = RealTimeIds(spy, "spy").process(sized_stream([3, 7, 5, 7]))
+        assert [rows for rows, _ in spy.calls[4:]] == [7]
+        if not tracemalloc.is_tracing():
+            assert spy.calls[4][1]
+        assert report.sustainability.memory_kb > 0
+
+    def test_a_window_whose_predict_raised_is_not_re_run(self):
+        spy = SpyModel(fail_rows=9)
+        ids = RealTimeIds(spy, "spy")
+        ids.process(sized_stream([3, 9, 5]))
+        assert ids.classifier_errors == 1
+        assert [rows for rows, _ in spy.calls] == [3, 9, 5, 5]
+
+    def test_no_scored_window_measures_no_memory(self):
+        spy = SpyModel(fail_rows=4)
+        report = RealTimeIds(spy, "spy").process(sized_stream([4, 4]))
+        assert [rows for rows, _ in spy.calls] == [4, 4]
+        assert report.sustainability.memory_kb == 0.0
+        assert RealTimeIds(SpyModel(), "spy").process(batch()).sustainability.memory_kb == 0.0
+
+
 class TestResourceMeter:
     def test_accumulates_cpu_and_memory(self):
+        ambient = tracemalloc.is_tracing()
         meter = ResourceMeter(window_seconds=1.0)
         meter.start_window()
-        _ = [i**2 for i in range(20_000)]  # burn some cpu / allocate
+        _ = [i**2 for i in range(20_000)]  # burn some cpu
         meter.end_window()
         assert meter.windows_measured == 1
         assert meter.cpu_seconds_total > 0
+        assert meter.memory_kb == 0.0  # windows are timed, not traced
+        meter.measure_memory(lambda: [i**2 for i in range(20_000)])
         assert meter.memory_kb > 0
+        assert meter.windows_measured == 1
+        assert tracemalloc.is_tracing() == ambient  # its own tracer stopped
 
     def test_memory_excludes_heap_traced_before_the_window(self):
         # Under ambient tracing (``python -X tracemalloc``, or a caller's
-        # own ``tracemalloc.start()``) the window's memory is its own peak,
-        # not the whole traced heap.
+        # own ``tracemalloc.start()``) the measured memory is the call's
+        # own peak, not the whole traced heap, and the caller's tracer
+        # keeps running.
         ambient = tracemalloc.is_tracing()
         if not ambient:
             tracemalloc.start()
         try:
             ballast = bytearray(16_000_000)
             meter = ResourceMeter(1.0)
-            meter.start_window()
-            window = bytearray(80_000)
-            meter.end_window()
-            del ballast, window
+            meter.measure_memory(lambda: bytearray(80_000))
+            still_tracing = tracemalloc.is_tracing()
+            del ballast
         finally:
             if not ambient:
                 tracemalloc.stop()
+        assert still_tracing
         assert 80 <= meter.memory_kb < 1_000
+
+    def test_cpu_is_the_metering_threads_own(self):
+        # A helper thread's CPU (a BLAS thread spinning on another core)
+        # is not the window's: the metering thread only waits for it.
+        def burn():
+            stop = time.thread_time() + 0.1
+            while time.thread_time() < stop:
+                pass
+
+        meter = ResourceMeter(1.0)
+        meter.start_window()
+        helper = threading.Thread(target=burn)
+        helper.start()
+        helper.join(timeout=10)
+        meter.end_window()
+        assert not helper.is_alive()
+        assert meter.cpu_seconds_total < 0.05
 
     def test_end_without_start_raises(self):
         with pytest.raises(RuntimeError):
