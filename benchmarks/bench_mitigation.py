@@ -5,13 +5,17 @@ effectiveness of defense mechanisms, ranging from intrusion detection
 systems to traffic filtering and mitigation techniques" (§III-A).  This
 bench closes that loop on DDoShield-IoT: the same live attack schedule
 runs twice against the TServer — once undefended, once with the K-Means
-IDS feeding a blocklist + SYN rate-limit filter — and the victim-impact
-series are compared.
+IDS on a LAN probe feeding a :class:`~repro.ids.MitigationController`,
+which fills the victim's blocklist + SYN rate-limit filter (no upstream
+ACL) — and the victim-impact series are compared.  The controller is
+the testbed's one verdict-to-block path: blocks last 60 s, and a source
+is released after a window with at least ``min_flagged`` of its packets
+and none flagged.
 """
 
 import numpy as np
 
-from repro.ids import BlocklistFilter, MitigatingIds, RealTimeIds
+from repro.ids import BlocklistFilter, MitigationController, MitigationPlan, RealTimeIds
 from repro.testbed import Scenario, Testbed, attach_victim_monitor, train_models
 
 from conftest import write_result
@@ -26,13 +30,16 @@ def run_phase(testbed, scenario, defended: bool, trained):
     if defended:
         km = next(t for t in trained if t.name == "K-Means")
         filt = BlocklistFilter(
-            testbed.tserver.node, block_seconds=60.0, syn_rate_limit=50.0, syn_burst=100.0
+            testbed.tserver.node, syn_rate_limit=50.0, syn_burst=100.0
         ).install()
         ids = RealTimeIds(
             km.model, "K-Means", extractor=km.extractor, scaler=km.scaler,
             window_seconds=scenario.window_seconds,
         )
-        MitigatingIds(ids, filt)
+        MitigationController(
+            MitigationPlan(block_seconds=60.0, upstream_filter=False),
+            testbed.sim, testbed.tserver.node, ids, filter_=filt,
+        )
         # The IDS is the tap: it takes the LAN's frames and trains
         # through the probe interface the testbed's IDS container feeds.
         testbed.lan.add_probe(ids)

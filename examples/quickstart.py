@@ -45,7 +45,8 @@ def main() -> None:
     ids = RealTimeIds(model, "K-Means", extractor=extractor, scaler=scaler)
     report = ids.process(live.to_batch())
     print(report)
-    print(f"alerts raised in {len(ids.alerts)} windows")
+    flagged = sum(1 for w in report.windows if w.n_malicious_predicted)
+    print(f"alerts raised in {flagged} windows")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ into mitigation.
 
 from repro.ids.defense import (
     BlocklistFilter,
-    MitigatingIds,
     MitigationController,
     MitigationPlan,
     RecoveryMetrics,
@@ -37,7 +36,6 @@ __all__ = [
     "STATUS_DEGRADED",
     "STATUS_HEALTHY",
     "IOT_CPU_SCALE",
-    "MitigatingIds",
     "MitigationController",
     "MitigationPlan",
     "RealTimeIds",

@@ -95,34 +95,75 @@ class TokenBucket:
         return False
 
 
-class BlocklistFilter:
+class _BlockTable:
+    """The source block table both filters keep: an expiry time per source.
+
+    An entry is enforced until its time; while ``ttl_grace`` is non-zero
+    (fallback mode) an expired entry stays enforced for up to that many
+    extra seconds — the conservative last-known policy used while the
+    IDS is down.  Expired entries leave lazily, when a frame from their
+    source is looked up or on :meth:`prune`, and each is reported once
+    to ``on_expire``.
+    """
+
+    def __init__(self) -> None:
+        self.blocked_until: dict[int, float] = {}
+        self.ttl_grace = 0.0
+        self.on_expire: Callable[[int, float], None] | None = None
+
+    def block(self, src: int, until: float) -> bool:
+        """Block ``src`` until ``until``; returns True for a new entry."""
+        is_new = src not in self.blocked_until
+        self.blocked_until[src] = until
+        return is_new
+
+    def unblock(self, src: int) -> bool:
+        return self.blocked_until.pop(src, None) is not None
+
+    def prune(self, now: float) -> list[tuple[int, float]]:
+        """Drop (and report) entries expired as of ``now`` + grace."""
+        expired = []
+        for src, until in list(self.blocked_until.items()):
+            if not self._enforced(src, until, now):
+                expired.append((src, until))
+        return expired
+
+    def _enforced(self, src: int, until: float, now: float) -> bool:
+        """Whether the held entry ``src`` → ``until`` is enforced at ``now``.
+
+        An expired entry is dropped and reported.  Per-frame callers
+        look the source up first and call this only on a hit, so a
+        source the table does not hold costs one dict lookup.
+        """
+        if now < until + self.ttl_grace:
+            return True
+        del self.blocked_until[src]
+        if self.on_expire is not None:
+            self.on_expire(src, until)
+        return False
+
+
+class BlocklistFilter(_BlockTable):
     """Inline packet filter for a victim node, driven by IDS verdicts.
 
-    Install with :meth:`install`; feed IDS window verdicts with
-    :meth:`apply_window_verdict` (or drive :meth:`block`/:meth:`unblock`
-    directly from a :class:`MitigationController`).  Blocking is
-    conntrack-style — new work from a blocked source is dropped while
-    packets of already-established victim connections pass (see
-    :meth:`_established`).  Blocked sources expire after
-    ``block_seconds`` so false positives do not mute devices forever.  While ``ttl_grace`` is non-zero (fallback mode),
-    expired entries stay enforced for up to that many extra seconds —
-    the conservative last-known policy used while the IDS is down.
+    Install with :meth:`install`; a :class:`MitigationController` fills
+    the block table from window verdicts.  Blocking is conntrack-style —
+    new work from a blocked source is dropped while packets of
+    already-established victim connections pass (see
+    :meth:`_blocked_verdict`).  Entries expire at the time the controller
+    gives them, so false positives do not mute devices forever.
     """
 
     def __init__(
         self,
         node: "Node",
-        block_seconds: float = 30.0,
         syn_rate_limit: float = 200.0,
         syn_burst: float = 400.0,
     ) -> None:
+        super().__init__()
         self.node = node
-        self.block_seconds = block_seconds
         self.syn_rate_limit = syn_rate_limit
         self.syn_burst = syn_burst
-        self.blocked_until: dict[int, float] = {}
-        self.ttl_grace = 0.0
-        self.on_expire: Callable[[int, float], None] | None = None
         self.dropped_by_blocklist = 0
         self.dropped_by_rate_limit = 0
         self.passed = 0
@@ -158,31 +199,6 @@ class BlocklistFilter:
             # Remove the instance override so the class method shows again.
             self.node.__dict__.pop("receive", None)
             self._original_receive = None
-
-    # ------------------------------------------------------------------
-    # Block table
-
-    def block(self, src: int, until: float) -> bool:
-        """Block ``src`` until ``until``; returns True for a new entry."""
-        is_new = src not in self.blocked_until
-        self.blocked_until[src] = until
-        return is_new
-
-    def unblock(self, src: int) -> bool:
-        return self.blocked_until.pop(src, None) is not None
-
-    def prune(self, now: float) -> list[tuple[int, float]]:
-        """Drop (and report) entries expired as of ``now`` + grace."""
-        expired = [
-            (src, until)
-            for src, until in self.blocked_until.items()
-            if now >= until + self.ttl_grace
-        ]
-        for src, until in expired:
-            del self.blocked_until[src]
-            if self.on_expire is not None:
-                self.on_expire(src, until)
-        return expired
 
     # ------------------------------------------------------------------
     # Filtering
@@ -228,15 +244,13 @@ class BlocklistFilter:
         now = self.node.sim.now
         src = frame.ip.src.value
         until = self.blocked_until.get(src)
-        if until is not None:
-            if now < until + self.ttl_grace:
-                if self._blocked_verdict(frame):
-                    self.dropped_by_blocklist += 1
-                    return True
-            else:
-                del self.blocked_until[src]
-                if self.on_expire is not None:
-                    self.on_expire(src, until)
+        if (
+            until is not None
+            and self._enforced(src, until, now)
+            and self._blocked_verdict(frame)
+        ):
+            self.dropped_by_blocklist += 1
+            return True
         # SYN-specific rate limiting (spoofed sources rotate, so the
         # bucket keys on the targeted service port instead).
         if frame.tcp is not None and (frame.tcp.flags & 0x02) and not (frame.tcp.flags & 0x10):
@@ -246,41 +260,13 @@ class BlocklistFilter:
                 return True
         return False
 
-    # ------------------------------------------------------------------
-    # IDS feedback
-
-    def apply_window_verdict(
-        self,
-        window: "RecordBatch",
-        predictions: np.ndarray,
-        min_flagged: int = 10,
-    ) -> int:
-        """Blocklist sources that dominate a flagged window.
-
-        Returns the number of sources newly blocked.  Sources are only
-        blocked when they account for several flagged packets, keeping
-        single misclassifications from blocking a benign device.
-        """
-        predictions = np.asarray(predictions)
-        if len(window) != len(predictions):
-            raise ValueError("window and predictions misaligned")
-        # Python ints, counted in order of first appearance.
-        flagged = Counter(window.src_ip[predictions == 1].tolist())
-        newly_blocked = 0
-        expiry = self.node.sim.now + self.block_seconds
-        for src, count in flagged.items():
-            if count >= min_flagged and src != self.node.address.value:
-                if self.block(src, expiry):
-                    newly_blocked += 1
-        return newly_blocked
-
     @property
     def active_blocks(self) -> int:
         now = self.node.sim.now
         return sum(1 for until in self.blocked_until.values() if until > now)
 
 
-class UpstreamFilter:
+class UpstreamFilter(_BlockTable):
     """Channel-tier ACL: the escalated form of the victim blocklist.
 
     Installed via :meth:`repro.sim.channel.CsmaChannel.set_traffic_filter`;
@@ -292,45 +278,18 @@ class UpstreamFilter:
     """
 
     def __init__(self, victim_ip: int) -> None:
+        super().__init__()
         self.victim_ip = victim_ip
-        self.blocked_until: dict[int, float] = {}
-        self.ttl_grace = 0.0
-        self.on_expire: Callable[[int, float], None] | None = None
         self.dropped = 0
-
-    def block(self, src: int, until: float) -> bool:
-        is_new = src not in self.blocked_until
-        self.blocked_until[src] = until
-        return is_new
-
-    def unblock(self, src: int) -> bool:
-        return self.blocked_until.pop(src, None) is not None
-
-    def prune(self, now: float) -> list[tuple[int, float]]:
-        expired = [
-            (src, until)
-            for src, until in self.blocked_until.items()
-            if now >= until + self.ttl_grace
-        ]
-        for src, until in expired:
-            del self.blocked_until[src]
-            if self.on_expire is not None:
-                self.on_expire(src, until)
-        return expired
 
     def should_drop(self, frame: Packet, sender, now: float) -> bool:
         if frame.ip is None or frame.ip.dst.value != self.victim_ip:
             return False
         src = frame.ip.src.value
         until = self.blocked_until.get(src)
-        if until is None:
-            return False
-        if now < until + self.ttl_grace:
+        if until is not None and self._enforced(src, until, now):
             self.dropped += 1
             return True
-        del self.blocked_until[src]
-        if self.on_expire is not None:
-            self.on_expire(src, until)
         return False
 
     @property
@@ -510,7 +469,8 @@ class MitigationController:
     """Drives the fault-tolerant detect → mitigate → recover loop.
 
     Subscribes to live IDS window verdicts and maintains the victim
-    blocklist plus the LAN-tier upstream ACL.  :meth:`on_event`, a
+    blocklist plus the LAN-tier upstream ACL: :meth:`_on_window` is the
+    one code path that turns a window's verdicts into blocks.  :meth:`on_event`, a
     subscriber of the run log, feeds the fallback state machine from the
     IDS container's supervisor events and partition events: while the
     IDS is down the filters hold their last-known policy with bounded
@@ -697,23 +657,3 @@ class MitigationController:
             "events": self.events_recorded,
         }
 
-
-class MitigatingIds:
-    """Couples a :class:`~repro.ids.engine.RealTimeIds` to a filter.
-
-    Every completed window's predictions are forwarded to the victim's
-    blocklist filter, closing the detect→mitigate loop in real time.
-    Thin manual-wiring variant of :class:`MitigationController` (which
-    adds escalation, fallback, and event logging).
-    """
-
-    def __init__(self, ids: "RealTimeIds", filter_: BlocklistFilter) -> None:
-        self.ids = ids
-        self.filter = filter_
-        self.blocks_issued = 0
-        ids.add_window_listener(self._on_window)
-
-    def _on_window(self, index: int, window: "RecordBatch", predictions, status: str) -> None:
-        preds = np.asarray(predictions)
-        if int(preds.sum()) > 0:
-            self.blocks_issued += self.filter.apply_window_verdict(window, preds)

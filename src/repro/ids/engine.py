@@ -77,13 +77,8 @@ class RealTimeIds:
         self._obs_errors = ctx.registry.counter(
             "ids.classifier_errors", model=model_name
         )
-        # Late-bound dispatch so wrappers (e.g. MitigatingIds) can hook
-        # the per-window handler after construction.
-        self._aggregator = WindowAggregator(
-            window_seconds, lambda index, window: self._on_window(index, window)
-        )
+        self._aggregator = WindowAggregator(window_seconds, self._on_window)
         self.report = DetectionReport(model_name)
-        self.alerts: list[tuple[float, int]] = []  # (window start, n flagged)
         self.window_listeners: list = []
         self.classifier_errors = 0
         self._last_index: int | None = None
@@ -186,9 +181,6 @@ class RealTimeIds:
             self.meter.end_window()
         accuracy = float(np.mean(predictions == labels))
         start_time = index * self.window_seconds
-        flagged = int(predictions.sum())
-        if flagged:
-            self.alerts.append((start_time, flagged))
         self._obs_events.record(
             start_time, "ids.window", detail=self.model_name, value=accuracy
         )
@@ -198,7 +190,7 @@ class RealTimeIds:
                 start_time=start_time,
                 n_packets=n_packets,
                 n_malicious_true=int(labels.sum()),
-                n_malicious_predicted=flagged,
+                n_malicious_predicted=int(predictions.sum()),
                 accuracy=accuracy,
                 status=status,
             )

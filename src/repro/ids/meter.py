@@ -22,10 +22,9 @@ Table II's three metrics, measured for real:
 * **Model size (Kb)** — real pickled size of the trained model (the
   paper's PKL file).
 
-The meter is backed by :mod:`repro.obs` instruments rather than a private
-struct: its measurements live in a meter-owned registry (so Table II math
-is exact per run) and, when an ambient telemetry scope is active, are
-mirrored into it under the same names — ``ids.cpu_seconds``,
+The meter keeps its per-run totals in plain fields, so Table II math is
+exact per run.  When an ambient telemetry scope is active, each
+measurement is also mirrored into it — ``ids.cpu_seconds``,
 ``ids.window_peak_memory_bytes``, ``ids.windows_measured`` — labeled by
 model.  CPU and memory are wall-clock-derived and registered with
 ``wall=True`` so deterministic snapshots exclude them.
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro import obs
-from repro.obs.registry import MetricsRegistry, NULL_INSTRUMENT
+from repro.obs.registry import NULL_INSTRUMENT
 
 #: How many times slower than the benchmark host an IoT-class core is.
 #: 1 host-CPU-millisecond per 1 s window ≈ 2.5% IoT CPU at this scale.
@@ -104,13 +103,12 @@ class ResourceMeter:
         self.window_seconds = window_seconds
         self.iot_cpu_scale = iot_cpu_scale
         self.model = model
-        # Meter-owned instruments: exact per-run accounting.
-        self._registry = MetricsRegistry(enabled=True)
-        self._cpu = self._registry.counter("ids.cpu_seconds", wall=True)
-        self._memory = self._registry.histogram(
-            "ids.window_peak_memory_bytes", buckets=MEMORY_BUCKETS, wall=True
-        )
-        self._windows = self._registry.counter("ids.windows_measured")
+        #: CPU seconds the detecting thread spent on windows so far.
+        self.cpu_seconds_total = 0.0
+        #: Number of windows measured so far.
+        self.windows_measured = 0
+        #: Largest peak allocation :meth:`measure_memory` saw (bytes).
+        self.memory_peak_bytes = 0
         # Ambient mirrors: null objects unless a telemetry scope is active.
         ctx = obs.current()
         if ctx.enabled:
@@ -135,10 +133,10 @@ class ResourceMeter:
         if self._cpu_start is None:
             raise RuntimeError("end_window() without start_window()")
         elapsed = time.thread_time() - self._cpu_start
-        self._cpu.inc(elapsed)
+        self.cpu_seconds_total += elapsed
         self._pub_cpu.inc(elapsed)
         self._cpu_start = None
-        self._windows.inc()
+        self.windows_measured += 1
         self._pub_windows.inc()
 
     def measure_memory(self, compute: Callable[[], object]) -> None:
@@ -160,18 +158,8 @@ class ResourceMeter:
             if started:
                 tracemalloc.stop()
         peak -= base
-        self._memory.observe(peak)
+        self.memory_peak_bytes = max(self.memory_peak_bytes, peak)
         self._pub_memory.observe(peak)
-
-    @property
-    def cpu_seconds_total(self) -> float:
-        """CPU seconds the detecting thread spent on windows so far."""
-        return self._cpu.value
-
-    @property
-    def windows_measured(self) -> int:
-        """Number of windows measured so far."""
-        return int(self._windows.value)
 
     @property
     def cpu_percent(self) -> float:
@@ -184,8 +172,8 @@ class ResourceMeter:
     @property
     def memory_kb(self) -> float:
         """Peak allocation of :meth:`measure_memory` in Kb (0.0 before it;
-        the mean if it ran more than once)."""
-        return self._memory.mean / 1000.0
+        the largest if it ran more than once)."""
+        return self.memory_peak_bytes / 1000.0
 
     @property
     def energy_mj_per_window(self) -> float:

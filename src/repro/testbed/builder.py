@@ -412,7 +412,6 @@ class Testbed:
         if plan.mode == "mitigate":
             filter_ = BlocklistFilter(
                 victim,
-                block_seconds=plan.block_seconds,
                 syn_rate_limit=plan.syn_rate_limit,
                 syn_burst=plan.syn_burst,
             ).install()

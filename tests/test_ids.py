@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.features import FeatureExtractor, RecordBatch
 from repro.ids import RealTimeIds, ResourceMeter
 from repro.ids.report import DetectionReport, WindowResult
@@ -199,12 +200,6 @@ class TestRealTimeIds:
         assert second.accuracy == 1.0
         assert second.is_pure_malicious
         assert first.is_pure_benign
-
-    def test_alerts_recorded_for_flagged_windows(self):
-        ids = RealTimeIds(ConstantModel(1), "flagger")
-        ids.process(make_stream(2, per_window=3))
-        assert len(ids.alerts) == 2
-        assert ids.alerts[0][1] == 3
 
     def test_sustainability_attached(self):
         ids = RealTimeIds(ConstantModel(0), "m")
@@ -437,6 +432,19 @@ class TestResourceMeter:
         meter = ResourceMeter(1.0)
         assert meter.cpu_percent == 0.0
         assert meter.memory_kb == 0.0
+
+    def test_ambient_mirrors_equal_the_meter(self):
+        with obs.scope() as ctx:
+            ids = RealTimeIds(ConstantModel(0), "mirrored")
+            ids.process(make_stream(3))
+        meter = ids.meter
+        mirrors = ctx.registry.snapshot()
+        assert meter.windows_measured == 3
+        assert mirrors["ids.windows_measured{model=mirrored}"]["value"] == 3
+        assert mirrors["ids.cpu_seconds{model=mirrored}"]["value"] == meter.cpu_seconds_total
+        memory = mirrors["ids.window_peak_memory_bytes{model=mirrored}"]
+        assert memory["count"] == 1
+        assert memory["total"] == pytest.approx(meter.memory_kb * 1000)
 
 
 class TestDetectionReport:

@@ -177,7 +177,7 @@ class TestConntrackVerdicts:
 
     @pytest.fixture()
     def filt(self, testbed):
-        filt = BlocklistFilter(testbed.tserver.node, block_seconds=60.0)
+        filt = BlocklistFilter(testbed.tserver.node)
         yield filt
         filt.uninstall()
 
@@ -249,7 +249,7 @@ class TestConntrackVerdicts:
     def test_blocked_devices_keep_serving_benign_sessions(self, testbed):
         """Blocking a compromised device must not sever its benign traffic."""
         victim = testbed.tserver.node
-        filt = BlocklistFilter(victim, block_seconds=120.0).install()
+        filt = BlocklistFilter(victim).install()
         monitor = attach_victim_monitor(testbed.tserver)
         now = testbed.sim.now
         for device in testbed.devices:
@@ -265,7 +265,7 @@ class TestConntrackVerdicts:
         assert monitor.series.mean_goodput() > 0  # and were actually served
 
     def test_expiry_fires_on_expire_callback(self, testbed):
-        filt = BlocklistFilter(testbed.tserver.node, block_seconds=1.0)
+        filt = BlocklistFilter(testbed.tserver.node)
         expired = []
         filt.on_expire = lambda src, until: expired.append((src, until))
         now = testbed.sim.now
@@ -403,6 +403,41 @@ class TestUpstreamFilter:
         assert channel.frames_filtered - filtered_before == filt.dropped
 
 
+class TestBlockTable:
+    """Both filters share one block table: an expired entry leaves on
+    lookup or on ``prune``, is reported once, and ``ttl_grace`` holds it."""
+
+    @pytest.fixture(params=["victim", "channel"])
+    def table(self, request, testbed):
+        victim = testbed.tserver.node
+        if request.param == "victim":
+            filt = BlocklistFilter(victim)
+            return filt, filt._should_drop
+        filt = UpstreamFilter(victim_ip=victim.address.value)
+        return filt, lambda frame: filt.should_drop(frame, None, testbed.sim.now)
+
+    def test_expiry_on_lookup_and_prune(self, testbed, table):
+        filt, drops = table
+        victim = testbed.tserver.node.address
+        looked_up, pruned = (device.node.address for device in testbed.devices[:2])
+        now = testbed.sim.now
+        expired = []
+        filt.on_expire = lambda src, until: expired.append((src, until))
+        filt.block(looked_up.value, now - 1.0)
+        filt.block(pruned.value, now - 2.0)
+        filt.ttl_grace = 5.0  # fallback: expired entries stay enforced
+        assert drops(udp_frame(looked_up, victim))
+        assert filt.prune(now) == []
+        assert expired == []
+        filt.ttl_grace = 0.0
+        assert not drops(udp_frame(looked_up, victim))  # expired on lookup
+        assert filt.prune(now) == [(pruned.value, now - 2.0)]
+        assert not filt.blocked_until
+        assert not drops(udp_frame(looked_up, victim))
+        assert filt.prune(now) == []
+        assert expired == [(looked_up.value, now - 1.0), (pruned.value, now - 2.0)]
+
+
 class TestProbeSymmetry:
     def test_lan_add_remove_probe_roundtrip(self, testbed):
         probe = PacketProbe(keep_records=False)
@@ -435,7 +470,7 @@ def make_controller(testbed, model, **plan_kwargs):
     filter_ = None
     upstream = None
     if plan.mode == "mitigate":
-        filter_ = BlocklistFilter(victim, block_seconds=plan.block_seconds)
+        filter_ = BlocklistFilter(victim)
         upstream = UpstreamFilter(victim_ip=victim.address.value)
     ids = RealTimeIds(model, "toy")
     controller = MitigationController(
@@ -475,6 +510,17 @@ class TestControllerVerdicts:
         ids.process(RecordBatch.from_records([record(base + i * 0.05, src=888) for i in range(5)]))
         assert controller.blocks_issued == 0
         assert not controller.filter.blocked_until
+
+    def test_verdict_never_blocks_self(self, testbed):
+        controller, ids = make_controller(testbed, FlagEverything(), min_flagged=10)
+        self_ip = testbed.tserver.node.address.value
+        base = testbed.sim.now
+        ids.process(
+            RecordBatch.from_records([record(base + i * 0.05, src=self_ip) for i in range(20)])
+        )
+        assert controller.blocks_issued == 0
+        assert not controller.filter.blocked_until
+        assert not controller.events.by_kind("mitigation.verdict")
 
     def test_clean_window_unblocks_false_positive(self, testbed):
         controller, ids = make_controller(testbed, FlagNothing(), min_flagged=10)
