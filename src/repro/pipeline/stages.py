@@ -112,12 +112,13 @@ class CaptureArtifact:
 class CaptureStage(Stage):
     """Record one labelled capture phase on the live testbed.
 
-    ``fault_plan=None`` reproduces :meth:`Testbed.capture`'s fallback to
-    ``scenario.fault_plan`` (the capture key still covers it through the
-    scenario dict).  The artifact metadata records the events the
-    capture added to the run log; with a plan armed, also the absolute
-    degraded intervals, the nominal end time and the restart counts, so
-    the downstream detect stage stays pure.
+    The capture runs under the stage's ``fault_plan`` or, when that is
+    None, under ``scenario.fault_plan`` (the capture key still covers it
+    through the scenario dict).  The artifact metadata records the
+    events the capture added to the run log; with a plan armed, also
+    that plan's absolute degraded intervals, the nominal end time and
+    the restart counts, so the downstream detect stage stays pure and
+    scores the same windows whichever entry point built the DAG.
     """
 
     requires_state = (TESTBED_STATE,)
@@ -146,19 +147,20 @@ class CaptureStage(Stage):
 
     def run(self, ctx: PipelineContext, inputs: dict[str, Any]) -> CaptureArtifact:
         testbed: Testbed = ctx.state[TESTBED_STATE]
+        plan = self.fault_plan if self.fault_plan is not None else testbed.scenario.fault_plan
         base = testbed.sim.now
         first = len(testbed.events)
-        dataset = testbed.capture(self.duration, self.schedule, fault_plan=self.fault_plan)
+        dataset = testbed.capture(self.duration, self.schedule, fault_plan=plan)
         meta: dict = {
             "base": base,
             "end": testbed.sim.now,
             "events": [event.to_dict() for event in testbed.events.events[first:]],
         }
-        if self.fault_plan is not None:
+        if plan is not None:
             meta["until"] = base + self.duration
             meta["degraded_intervals"] = [
                 [base + start, base + stop]
-                for start, stop in self.fault_plan.degraded_intervals()
+                for start, stop in plan.degraded_intervals()
             ]
             meta["restarts"] = {
                 name: container.restart_count

@@ -360,13 +360,15 @@ def run_fault_experiment(
     store: "object | str | None" = None,
     telemetry: bool = False,
 ) -> FaultExperimentResult:
-    """§IV-D with an impaired detection run: train clean, detect under faults.
+    """§IV-D with an impaired detection run.
 
-    Training uses a pristine capture (as the paper's procedure does);
-    the fault plan — argument, then ``scenario.fault_plan``, then
-    :meth:`Scenario.default_fault_schedule` — is armed only for the
-    detection capture.  Every IDS is told the plan's degraded intervals
-    so its report separates healthy from degraded accuracy.
+    The detection capture runs under a fault plan — the argument, then
+    ``scenario.fault_plan``, then :meth:`Scenario.default_fault_schedule`.
+    An argument or the default schedule impairs only the detection
+    capture; a scenario's own plan applies to every capture, the
+    training capture included (see ``Scenario.fault_plan``).  Every IDS
+    is told the detection plan's degraded intervals so its report
+    separates healthy from degraded accuracy.
 
     A thin composition over the staged pipeline
     (:func:`repro.pipeline.run_experiment_pipeline`): pass ``store`` (an
@@ -406,9 +408,13 @@ def run_full_experiment(
     cache directory path) to serve unchanged stages from the
     content-addressed cache.
 
+    A scenario that carries a ``fault_plan`` runs every capture under it,
+    and its detection windows are scored as degraded exactly as
+    :func:`run_fault_experiment` scores them.
+
     ``REPRO_SHUFFLE=<seed>`` arms the event kernel's bucket-shuffle race
-    detector.  Don't combine it with ``store``: the seed is in no stage
-    key, so a shuffled run reads and writes the unshuffled entries.
+    detector.  The resolved seed is part of every stage key, so a
+    shuffled run with a ``store`` gets its own cache entries.
     """
     from repro.pipeline.stages import run_experiment_pipeline
 

@@ -8,7 +8,12 @@ identical fault traces, and identical detection reports.
 
 import pytest
 
-from repro.testbed import Scenario, default_model_specs, run_fault_experiment
+from repro.testbed import (
+    Scenario,
+    default_model_specs,
+    run_fault_experiment,
+    run_full_experiment,
+)
 
 
 def _run():
@@ -53,3 +58,23 @@ def test_fault_run_exercised_every_path(runs):
     assert kinds >= {"supervisor.kill", "supervisor.exit", "supervisor.backoff", "supervisor.restart"}
     assert report.n_degraded > 0
     assert report.healthy_windows
+
+
+def test_scenario_plan_degrades_the_same_windows_from_either_entry_point():
+    """A scenario's own fault plan arms every capture, so the detect
+    stage must score its degraded windows whether the run entered
+    through ``run_full_experiment`` or ``run_fault_experiment``."""
+    plan = Scenario(n_devices=3, seed=11).default_fault_schedule(12.0)
+    scenario = Scenario(n_devices=3, seed=11, fault_plan=plan)
+    specs = [s for s in default_model_specs(scenario.seed) if s.name == "K-Means"]
+    full, faulted = (
+        run(scenario, train_duration=25.0, detect_duration=12.0, specs=specs)
+        for run in (run_full_experiment, run_fault_experiment)
+    )
+
+    def degraded(result):
+        return [w.window_index for w in result.detection[0].windows if w.is_degraded]
+
+    assert degraded(full)
+    assert degraded(full) == degraded(faulted)
+    assert full.fingerprint() == faulted.fingerprint()
