@@ -10,13 +10,13 @@ re-runs the K-Means IDS on the same live capture, measuring the metered
 CPU percentage for each period (after a warm-up pass, so allocator and
 numpy cache effects don't masquerade as a trend).
 
-Reproduction verdict (recorded in EXPERIMENTS.md): in this
-implementation the per-*packet* feature cost dominates the per-*window*
-overhead, so total CPU per traffic-second is roughly flat in the window
-period rather than falling — the paper's mitigation only helps when
-fixed per-invocation costs dominate.  The bench therefore asserts
-bounded variation and records the sweep, rather than asserting the
-paper's direction.
+Reproduction verdict (recorded in EXPERIMENTS.md): CPU per
+traffic-second falls with longer windows, as the paper says.  On a
+2-vCPU Xeon host, three runs read 2.09 → 0.80, 2.49 → 0.94 and
+1.69 → 0.78 % from 0.5 s to 5 s windows.  The bench asserts its own
+"falls" rule: 5 s windows cost under 0.8× the CPU of 0.5 s windows.
+It does not assert a monotonic fall, because neighbouring periods can
+swap (the third run read 0.76 % at 2 s and 0.78 % at 5 s).
 """
 
 from repro.ids import RealTimeIds
@@ -79,8 +79,8 @@ def test_ablation_window_period_vs_cpu(benchmark, train_capture, detect_capture,
     )
     write_result("ablation_window", lines)
 
-    # CPU stays bounded across periods (no blow-up from long windows) and
-    # never exceeds 2x the cheapest configuration.
-    assert max(cpus) < 2.0 * min(cpus)
+    # The paper's §IV-E direction: the longest period costs clearly less
+    # CPU than the shortest.
+    assert cpus[-1] < 0.8 * cpus[0]
     # accuracy stays usable across periods
     assert all(acc > 0.7 for _, _, acc in rows)
