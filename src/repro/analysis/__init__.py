@@ -2,7 +2,7 @@
 
 The paper's evaluation (per-second accuracy timelines, resource tables)
 is only meaningful when the same seed reproduces the same packet
-schedule.  This subpackage defends that property on two fronts:
+schedule.  This subpackage defends that property on three fronts:
 
 * **static** — :mod:`repro.analysis.rules` / :mod:`repro.analysis.walker`
   implement an AST determinism linter (``ddoshield lint``) that flags
@@ -16,9 +16,9 @@ schedule.  This subpackage defends that property on two fronts:
   state writes do not commute (ORD002);
 * **dynamic** — :mod:`repro.analysis.sanitizers` provides opt-in runtime
   invariant checkers (``Simulator(sanitize=True)`` / ``REPRO_SANITIZE=1``)
-  for event-time monotonicity, queue/channel packet conservation,
-  socket/port leaks at teardown, and resource-accounting consistency,
-  plus the bucket-shuffle race detector seed (``REPRO_SHUFFLE`` /
+  for event-time monotonicity, the kernel's cancel ledger, queue/channel
+  packet conservation and socket/port leaks at teardown, plus the
+  bucket-shuffle race detector seed (``REPRO_SHUFFLE`` /
   ``Simulator(shuffle_buckets=…)``) that dynamically stresses what
   ORD002 reasons about statically.
 """

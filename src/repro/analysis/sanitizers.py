@@ -1,16 +1,17 @@
 """Runtime simulation sanitizers (TSan/ASan-style, for the event kernel).
 
 Opt-in invariant checkers enabled with ``Simulator(sanitize=True)`` or
-``REPRO_SANITIZE=1``.  Components self-register as they are built (net
-device queues, channels, TCP stacks, resource accountants) and the
-simulator consults the sanitizer:
+``REPRO_SANITIZE=1``.  Components self-register as they are built
+(simulators, net device queues, channels, TCP stacks) and the simulator
+consults the sanitizer:
 
 * per executed event — **event-time monotonicity** (no event may run
   before current virtual time);
-* at every ``run()`` drain — **packet conservation** per queue
+* at every ``run()`` drain — **kernel cancel-ledger exactness** (the
+  lazy-compaction counter equals the cancelled events in the heap) and
+  **packet conservation** per queue
   (``enqueued == dequeued + flushed + len(queue)``) and per channel
-  (``dequeued == delivered + impaired + in-flight``), plus
-  **resource-accounting consistency** (ledger matches live allocations);
+  (``dequeued == delivered + impaired + filtered + in-flight``);
 * at :meth:`~repro.sim.core.Simulator.finalize` — **socket/port leak
   detection** (no CLOSED-but-registered sockets, no ephemeral port held
   without an owner).
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
-    from repro.containers.resources import ResourceAccountant
     from repro.sim.channel import CsmaChannel
     from repro.sim.queue import DropTailQueue
     from repro.sim.tcp import TcpStack
@@ -107,7 +107,6 @@ class Sanitizer:
     _queues: list[tuple[str, "DropTailQueue"]] = field(default_factory=list)
     _channels: list[tuple[str, "CsmaChannel"]] = field(default_factory=list)
     _tcp_stacks: list["TcpStack"] = field(default_factory=list)
-    _accountants: list[tuple[str, "ResourceAccountant"]] = field(default_factory=list)
     _simulators: list[tuple[str, Any]] = field(default_factory=list)
 
     # ------------------------------------------------------------------
@@ -124,9 +123,6 @@ class Sanitizer:
 
     def register_tcp_stack(self, stack: "TcpStack") -> None:
         self._tcp_stacks.append(stack)
-
-    def register_accountant(self, label: str, accountant: "ResourceAccountant") -> None:
-        self._accountants.append((label, accountant))
 
     # ------------------------------------------------------------------
     # Violation plumbing
@@ -181,7 +177,7 @@ class Sanitizer:
             )
 
     def check_conservation(self, now: float) -> None:
-        """Packet conservation per queue/channel + resource consistency."""
+        """Kernel cancel ledger plus packet conservation per queue/channel."""
         for label, sim in self._simulators:
             # Kernel cancel-ledger exactness: the lazy-compaction counter
             # must equal the number of cancelled events actually sitting in
@@ -240,14 +236,6 @@ class Sanitizer:
                     time=now,
                     channel=label,
                     in_flight=in_flight,
-                )
-        for label, accountant in self._accountants:
-            for problem in accountant.consistency_errors():
-                self.violation(
-                    "resource-accounting",
-                    f"container {label}: {problem}",
-                    time=now,
-                    container=label,
                 )
 
     def check_teardown(self, now: float) -> None:

@@ -80,8 +80,3 @@ class Loader(Process):
         sock.on_data = on_data
         sock.on_reset = fail
         sock.connect(target, TELNET_PORT)
-
-    @property
-    def infected_targets(self) -> set[int]:
-        """Integer IPv4 values of successfully infected devices."""
-        return set(self._done)

@@ -21,9 +21,8 @@ class TapBridge:
     def __init__(self, sim: Simulator, lan: CsmaLan) -> None:
         self.sim = sim
         self.lan = lan
-        self.ghost_nodes: list[Node] = []
 
-    def create_ghost_node(self, name: str, queue_capacity: int = 512) -> Node:
+    def create_ghost_node(self, name: str) -> Node:
         """Create and attach the ghost node backing one container.
 
         Placement goes through ``lan.attach`` so hierarchical topologies
@@ -31,15 +30,8 @@ class TapBridge:
         the right segment; a flat :class:`CsmaLan` attaches it directly.
         """
         node = Node(self.sim, name=f"ghost-{name}")
-        self.lan.attach(node, queue_capacity=queue_capacity)
-        self.ghost_nodes.append(node)
+        self.lan.attach(node)
         return node
-
-    def disconnect(self, node: Node) -> None:
-        """Detach a ghost node (container churn / network unplug)."""
-        self.lan.remove_host(node)
-        if node in self.ghost_nodes:
-            self.ghost_nodes.remove(node)
 
     def reconnect(self, node: Node) -> None:
         """Re-graft a ghost node whose devices were unplugged (crash restart).
@@ -52,7 +44,3 @@ class TapBridge:
         for iface in node.interfaces:
             if not iface.device.attached:
                 iface.device.channel.attach(iface.device)
-        if node not in self.ghost_nodes:
-            self.ghost_nodes.append(node)
-        if node not in self.lan.nodes:
-            self.lan.nodes.append(node)

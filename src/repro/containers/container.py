@@ -1,12 +1,13 @@
 """Containers and the processes they host.
 
-A :class:`Container` owns a simulated network node (via a tap bridge), a
-resource accountant, and a set of :class:`Process` instances.  Processes
-are the "IoT binaries" of the paper: event-driven objects that open
-sockets on the container's node and schedule work on the shared
-simulator.  ``container.exec(...)`` injects a process into a running
-container — exactly how the Mirai loader drops a bot onto a compromised
-device.
+A :class:`Container` owns a simulated network node (via a tap bridge)
+and a set of :class:`Process` instances.  Processes are the "IoT
+binaries" of the paper: event-driven objects that open sockets on the
+container's node and schedule work on the shared simulator.
+``container.exec(...)`` injects a process into a running container —
+how the testbed starts each role's binaries, and exactly how the Mirai
+loader drops a bot onto a compromised device.  A container crashes with
+:meth:`Container.kill` and comes back with :meth:`Container.restart`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import enum
 from typing import TYPE_CHECKING
 
 from repro.containers.image import Image
-from repro.containers.resources import ResourceAccountant, ResourceLimits
 from repro.sim.core import Simulator
 
 if TYPE_CHECKING:
@@ -26,7 +26,7 @@ class ContainerState(enum.Enum):
     CREATED = "created"
     RUNNING = "running"
     STOPPED = "stopped"
-    FAILED = "failed"  # crashed (killed / health-check death), not a clean stop
+    FAILED = "failed"  # crashed (killed), not a clean stop
 
 
 class ContainerError(RuntimeError):
@@ -59,11 +59,6 @@ class Process:
         assert self.container is not None, "process not attached to a container"
         return self.container.node
 
-    def charge_cpu(self, work_seconds: float) -> float:
-        """Account CPU work against the container; returns wall duration."""
-        assert self.container is not None
-        return self.container.resources.charge_cpu(work_seconds)
-
     # ------------------------------------------------------------------
     # Lifecycle hooks
 
@@ -88,21 +83,11 @@ class Process:
 class Container:
     """A running instance of an image, attached to one simulated node."""
 
-    def __init__(
-        self,
-        name: str,
-        image: Image,
-        sim: Simulator,
-        node: "Node",
-        limits: ResourceLimits | None = None,
-    ) -> None:
+    def __init__(self, name: str, image: Image, sim: Simulator, node: "Node") -> None:
         self.name = name
         self.image = image
         self.sim = sim
         self.node = node
-        self.resources = ResourceAccountant(limits or image.default_limits)
-        if sim.sanitizer is not None:
-            sim.sanitizer.register_accountant(name, self.resources)
         self.state = ContainerState.CREATED
         self.processes: list[Process] = []
         self.started_at: float | None = None
@@ -115,13 +100,11 @@ class Container:
         return f"Container({self.name!r}, image={self.image.reference!r}, state={self.state.value})"
 
     def start(self) -> None:
-        """Boot: run every entrypoint process from the image."""
+        """Boot: the container runs; :meth:`exec` then adds its processes."""
         if self.state is ContainerState.RUNNING:
             raise ContainerError(f"{self.name} is already running")
         self.state = ContainerState.RUNNING
         self.started_at = self.sim.now
-        for factory in self.image.entrypoints:
-            self.exec(factory(self))
 
     def exec(self, process: Process) -> Process:
         """Inject and start an extra process (``docker exec`` analogue)."""
@@ -163,9 +146,8 @@ class Container:
     def restart(self) -> None:
         """Boot a stopped/crashed container again with its existing processes.
 
-        Every process the container hosted — image entrypoints and
-        ``exec``-injected ones alike — is started again, re-opening its
-        sockets and rescheduling its work on the shared simulator.  The
+        Every process the container hosted is started again, re-opening
+        its sockets and rescheduling its work on the shared simulator.  The
         caller (normally the orchestrator's supervisor) is responsible
         for re-attaching the node's devices through the tap bridge first.
         """
@@ -180,16 +162,6 @@ class Container:
         for process in self.processes:
             process.start(self)
 
-    def is_healthy(self) -> bool:
-        """Default health probe: running with at least one live process.
-
-        Containers that were started without processes (bare nodes) count
-        as healthy while RUNNING.
-        """
-        if self.state is not ContainerState.RUNNING:
-            return False
-        return not self.processes or any(p.running for p in self.processes)
-
     def _fire_exit(self, failed: bool) -> None:
         for hook in list(self.on_exit):
             hook(self, failed)
@@ -201,10 +173,3 @@ class Container:
             return 0.0
         end = self.stopped_at if self.stopped_at is not None else self.sim.now
         return end - self.started_at
-
-    def find_process(self, name: str) -> Process | None:
-        """Look up a hosted process by its class-level ``name``."""
-        for process in self.processes:
-            if process.name == name:
-                return process
-        return None

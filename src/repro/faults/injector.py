@@ -196,11 +196,6 @@ class FaultInjector(ChannelImpairment):
     # ------------------------------------------------------------------
 
     @property
-    def active_faults(self) -> list[FaultSpec]:
-        """Wire specs currently in force (partitions tracked separately)."""
-        return [active.spec for active in self._active]
-
-    @property
     def partitioned_devices(self) -> int:
         return sum(len(devices) for devices in self._partitions.values())
 

@@ -50,6 +50,11 @@ class Scaler(Protocol):
 
 
 class _IdentityScaler:
+    """No-op scaler for models that train on raw features (trees)."""
+
+    def fit(self, X: np.ndarray) -> "_IdentityScaler":
+        return self
+
     def transform(self, X: np.ndarray) -> np.ndarray:
         return X
 

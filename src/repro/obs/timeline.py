@@ -112,11 +112,6 @@ class RunTimeline:
                 mark = f"{event.kind}[{event.detail}]" if event.detail else event.kind
                 self.add_mark(event.time, mark)
 
-    def add_series(self, column: str, pairs: Iterable[tuple[float, float]]) -> None:
-        """A sampled point-in-time series (last sample per bucket wins)."""
-        for time, value in pairs:
-            self.add_value(time, column, value, mode="set")
-
     # ------------------------------------------------------------------
     # Export
 

@@ -118,11 +118,6 @@ class Node:
             raise NetworkError(f"{self.name} has no interfaces")
         return self.interfaces[0].address
 
-    def interface_for(self, destination: Ipv4Address) -> Interface:
-        """Pick the outbound interface for ``destination`` (longest match,
-        then static routes, then default route via the first interface)."""
-        return self.route_for(destination)[0]
-
     def route_for(self, destination: Ipv4Address) -> tuple[Interface, Ipv4Address]:
         """Resolve ``destination`` to ``(interface, next_hop)``."""
         best: Interface | None = None

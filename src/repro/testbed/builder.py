@@ -21,7 +21,6 @@ mitigation events all land in one run log, :attr:`Testbed.events`.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from repro import obs
 from repro.apps import (
@@ -255,16 +254,14 @@ class Testbed:
         duration: float,
         attack_phases: list[AttackPhase] | None = None,
         pcap_path: str | None = None,
-        rebase_timestamps: bool = False,
         fault_plan: FaultPlan | None = None,
     ) -> TrafficDataset:
         """Record a labelled capture while attacks fire per the schedule.
 
-        By default timestamps are the testbed's continuing virtual clock,
-        exactly as in the paper where the real-time detection run happens
-        *after* the dataset-generation run on the same testbed — so live
-        timestamps lie beyond the training capture's range.  Pass
-        ``rebase_timestamps=True`` to shift a capture to start at t=0.
+        Timestamps are the testbed's continuing virtual clock, exactly as
+        in the paper where the real-time detection run happens *after*
+        the dataset-generation run on the same testbed — so live
+        timestamps lie beyond the training capture's range.
 
         ``fault_plan`` (falling back to ``scenario.fault_plan``) schedules
         impairments, partitions, and container crashes relative to the
@@ -318,11 +315,7 @@ class Testbed:
             self.lan.channel.remove_probe(probe)
             if pcap is not None:
                 pcap.close()
-        self.orchestrator.sample_resources()
-        batch = RecordBatch.from_columns(probe.drain_columns())
-        if rebase_timestamps:
-            batch = replace(batch, timestamp=batch.timestamp - base)
-        return TrafficDataset(batch)
+        return TrafficDataset(RecordBatch.from_columns(probe.drain_columns()))
 
     # ------------------------------------------------------------------
     # Fault injection

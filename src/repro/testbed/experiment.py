@@ -38,7 +38,7 @@ from repro.capture import DatasetSummary, TrafficDataset
 from repro.faults import FaultPlan
 from repro.features.pipeline import FeatureExtractor
 from repro.ids.defense import RecoveryMetrics
-from repro.ids.engine import RealTimeIds
+from repro.ids.engine import RealTimeIds, _IdentityScaler
 from repro.ids.report import DetectionReport
 from repro.ml import (
     CnnClassifier,
@@ -52,16 +52,6 @@ from repro.ml import (
 from repro.ml.metrics import ClassificationReport
 from repro.obs.events import ObsEvent
 from repro.testbed.scenario import Scenario
-
-
-class _IdentityScaler:
-    """No-op scaler for models that train on raw features (trees)."""
-
-    def fit(self, X: np.ndarray) -> "_IdentityScaler":
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        return X
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
-"""Tests for the container runtime: lifecycle, resources, bridges, compose."""
+"""Tests for the container runtime: images, lifecycle, orchestration."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.containers import (
     Container,
@@ -9,13 +8,8 @@ from repro.containers import (
     Image,
     Orchestrator,
     Process,
-    ResourceAccountant,
-    ResourceLimits,
-    ServiceSpec,
 )
 from repro.containers.container import ContainerError
-from repro.containers.image import Registry
-from repro.containers.resources import ResourceLimitExceeded
 from repro.sim import CsmaLan, Simulator
 from repro.sim.node import Node
 
@@ -46,112 +40,22 @@ def env():
     return sim, lan, Orchestrator(sim, lan)
 
 
-class TestResourceAccounting:
-    def test_cpu_charge_accumulates(self):
-        acct = ResourceAccountant()
-        acct.charge_cpu(0.2)
-        acct.charge_cpu(0.3)
-        assert acct.usage.cpu_seconds == pytest.approx(0.5)
-
-    def test_cpu_share_scales_wall_time(self):
-        acct = ResourceAccountant(ResourceLimits(cpu_share=0.5))
-        assert acct.charge_cpu(1.0) == pytest.approx(2.0)
-
-    def test_negative_cpu_rejected(self):
-        with pytest.raises(ValueError):
-            ResourceAccountant().charge_cpu(-1)
-
-    def test_memory_allocation_and_free(self):
-        acct = ResourceAccountant()
-        acct.allocate("model", 1000)
-        acct.allocate("buffer", 500)
-        assert acct.usage.memory_bytes == 1500
-        acct.free("model")
-        assert acct.usage.memory_bytes == 500
-        assert acct.usage.peak_memory_bytes == 1500
-
-    def test_reallocation_replaces_tag(self):
-        acct = ResourceAccountant()
-        acct.allocate("buf", 1000)
-        acct.allocate("buf", 200)
-        assert acct.usage.memory_bytes == 200
-
-    def test_memory_limit_enforced(self):
-        acct = ResourceAccountant(ResourceLimits(memory_bytes=1024))
-        acct.allocate("a", 1000)
-        with pytest.raises(ResourceLimitExceeded):
-            acct.allocate("b", 100)
-
-    def test_cpu_percent(self):
-        acct = ResourceAccountant()
-        acct.charge_cpu(0.65)
-        assert acct.cpu_percent(over_seconds=1.0) == pytest.approx(65.0)
-
-    def test_cpu_percent_zero_window(self):
-        assert ResourceAccountant().cpu_percent(0.0) == 0.0
-
-    def test_invalid_limits_rejected(self):
-        with pytest.raises(ValueError):
-            ResourceLimits(cpu_share=0)
-        with pytest.raises(ValueError):
-            ResourceLimits(memory_bytes=-5)
-
-    @given(st.lists(st.integers(min_value=0, max_value=10_000), max_size=30))
-    def test_property_memory_never_negative(self, sizes):
-        acct = ResourceAccountant()
-        for i, nbytes in enumerate(sizes):
-            acct.allocate(f"tag{i % 3}", nbytes)
-            assert acct.usage.memory_bytes >= 0
-            assert acct.usage.peak_memory_bytes >= acct.usage.memory_bytes
-
-
 class TestImage:
     def test_reference(self):
         assert Image("ddoshield/dev", "1.0").reference == "ddoshield/dev:1.0"
 
-    def test_with_entrypoint_is_derivation(self):
-        base = Image("base")
-        derived = base.with_entrypoint(lambda c: EchoProcess())
-        assert base.entrypoints == ()
-        assert len(derived.entrypoints) == 1
-
-    def test_registry_push_pull(self):
-        registry = Registry()
-        image = Image("dev", "2.0")
-        registry.push(image)
-        assert registry.pull("dev:2.0") is image
-        assert "dev:2.0" in registry
-
-    def test_registry_default_tag(self):
-        registry = Registry()
-        image = Image("dev")
-        registry.push(image)
-        assert registry.pull("dev") is image
-        assert "dev" in registry
-
-    def test_registry_missing_image(self):
-        with pytest.raises(KeyError):
-            Registry().pull("ghost:latest")
-
 
 class TestContainerLifecycle:
-    def make(self, env, image=None):
+    def make(self, env):
         sim, lan, _ = env
         node = Node(sim, "n")
         from repro.sim.node import connect_to_lan
 
         connect_to_lan(node, lan.channel, lan.network, lan.macs.allocate())
-        return Container("c1", image or Image("img"), sim, node)
+        return Container("c1", Image("img"), sim, node)
 
     def test_initial_state_created(self, env):
         assert self.make(env).state is ContainerState.CREATED
-
-    def test_start_runs_entrypoints(self, env):
-        image = Image("img").with_entrypoint(lambda c: EchoProcess())
-        container = self.make(env, image)
-        container.start()
-        assert container.state is ContainerState.RUNNING
-        assert container.find_process("echo") is not None
 
     def test_double_start_rejected(self, env):
         container = self.make(env)
@@ -188,31 +92,12 @@ class TestContainerLifecycle:
         sim.run()
         assert container.uptime == pytest.approx(5.0)
 
-    def test_find_process_missing_returns_none(self, env):
-        container = self.make(env)
-        container.start()
-        assert container.find_process("nope") is None
-
 
 class TestOrchestrator:
-    def test_up_starts_replicas(self, env):
-        sim, lan, orch = env
-        image = Image("dev").with_entrypoint(lambda c: EchoProcess())
-        orch.add_service(ServiceSpec("dev", image, replicas=3))
-        containers = orch.up()
-        assert len(containers) == 3
-        assert sorted(c.name for c in containers) == ["dev-0", "dev-1", "dev-2"]
-        assert all(c.state is ContainerState.RUNNING for c in containers)
-
-    def test_single_replica_keeps_bare_name(self, env):
-        _, _, orch = env
-        orch.add_service(ServiceSpec("tserver", Image("tserver")))
-        assert orch.up()[0].name == "tserver"
-
     def test_containers_communicate_over_lan(self, env):
         sim, lan, orch = env
-        echo_image = Image("echo").with_entrypoint(lambda c: EchoProcess(port=7))
-        server = orch.run("server", echo_image)
+        server = orch.run("server", Image("echo"))
+        echo = server.exec(EchoProcess(port=7))
         client = orch.run("client", Image("client"))
         replies = []
         sock = client.node.udp.bind(0)
@@ -220,6 +105,7 @@ class TestOrchestrator:
         sock.send_to(server.node.address, 7, b"ping")
         sim.run(until=1.0)
         assert replies == [b"ping"]
+        assert echo.echoed == 1
 
     def test_duplicate_name_rejected(self, env):
         _, _, orch = env
@@ -227,41 +113,7 @@ class TestOrchestrator:
         with pytest.raises(ValueError):
             orch.run("x", Image("img"))
 
-    def test_remove_detaches_from_lan(self, env):
-        sim, lan, orch = env
-        echo_image = Image("echo").with_entrypoint(lambda c: EchoProcess(port=7))
-        server = orch.run("server", echo_image)
-        client = orch.run("client", Image("client"))
-        server_addr = server.node.address
-        orch.remove("server")
-        replies = []
-        sock = client.node.udp.bind(0)
-        sock.on_receive = lambda *a: replies.append(1)
-        sock.send_to(server_addr, 7, b"ping")
-        sim.run(until=1.0)
-        assert replies == []
-        assert "server" not in orch.containers
-
-    def test_ps_lists_states(self, env):
-        _, _, orch = env
-        orch.run("a", Image("img"))
-        orch.stop("a")
-        assert orch.ps() == [("a", "img:latest", "stopped")]
-
-    def test_down_removes_all(self, env):
-        _, _, orch = env
-        orch.run("a", Image("img"))
-        orch.run("b", Image("img"))
-        orch.down()
-        assert orch.ps() == []
-
     def test_get_missing_raises(self, env):
         _, _, orch = env
         with pytest.raises(KeyError):
             orch.get("ghost")
-
-    def test_limits_override_image_defaults(self, env):
-        _, _, orch = env
-        image = Image("img", default_limits=ResourceLimits(cpu_share=1.0))
-        container = orch.run("a", image, limits=ResourceLimits(cpu_share=0.25))
-        assert container.resources.limits.cpu_share == 0.25

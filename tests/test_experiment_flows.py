@@ -7,11 +7,11 @@ from repro.features.statistical import (
     NORMALIZED_STATISTICAL_FEATURE_NAMES,
     PAPER_STATISTICAL_FEATURE_NAMES,
 )
+from repro.ids.engine import _IdentityScaler
 from repro.ids.meter import SustainabilityMetrics
 from repro.ids.report import DetectionReport, WindowResult
 from repro.ml.metrics import ClassificationReport
 from repro.testbed import ExperimentResult, ModelSpec, Scenario, TrainedModel
-from repro.testbed.experiment import _IdentityScaler
 
 
 class TestModelSpec:

@@ -10,7 +10,6 @@ import heapq
 import pytest
 
 from repro.analysis import Sanitizer, SanitizerError, sanitize_mode_from_env
-from repro.containers.resources import ResourceAccountant, ResourceLimits
 from repro.sim import CsmaLan, Simulator
 from repro.sim.core import Event
 from repro.sim.queue import DropTailQueue
@@ -197,40 +196,6 @@ class TestSocketLeaks:
         for sock in accepted:
             sock.close()
         sim.run(until=60.0)  # ride out TIME_WAIT teardown timers
-        sim.finalize()
-
-
-# ----------------------------------------------------------------------
-# Resource accounting
-
-
-class TestResourceAccounting:
-    def test_tampered_ledger_is_caught(self):
-        sim = Simulator(sanitize=True)
-        accountant = ResourceAccountant()
-        sim.sanitizer.register_accountant("ids", accountant)
-        accountant.allocate("model", 1000)
-        accountant.usage.memory_bytes += 64  # hand-broken: ledger drift
-        sim.schedule(1.0, lambda: None)
-        with pytest.raises(SanitizerError, match="resource-accounting"):
-            sim.run()
-
-    def test_consistency_errors_enumerated(self):
-        accountant = ResourceAccountant(ResourceLimits(memory_bytes=100))
-        accountant.allocate("a", 80)
-        assert accountant.consistency_errors() == []
-        accountant.usage.peak_memory_bytes = 10  # below current: impossible
-        problems = accountant.consistency_errors()
-        assert any("peak" in p for p in problems)
-
-    def test_normal_alloc_free_cycle_is_consistent(self):
-        sim = Simulator(sanitize=True)
-        accountant = ResourceAccountant()
-        sim.sanitizer.register_accountant("ids", accountant)
-        accountant.allocate("window", 512)
-        accountant.free("window")
-        sim.schedule(1.0, lambda: None)
-        sim.run()
         sim.finalize()
 
 

@@ -1,7 +1,8 @@
-"""Tests for container supervision: crashes, restart policies, health probes."""
+"""Tests for container supervision: crashes and restart policies."""
 
 import pytest
 
+from repro import obs
 from repro.containers import (
     ContainerState,
     Image,
@@ -112,7 +113,6 @@ class TestRestart:
         sim.run(until=20.0)
         assert container.state is ContainerState.RUNNING
         assert container.restart_count == 1
-        assert orch.restarts_of("victim") == 1
         assert container.node.interfaces[0].device.attached
         assert proc.running
         # Traffic flowed before the kill, paused, and resumed after restart.
@@ -208,52 +208,20 @@ class TestRestart:
         sim.run(until=30.0)
         assert container.state is ContainerState.FAILED
 
-    def test_remove_while_supervised(self, env):
-        sim, lan, orch = env
-        orch.run("victim", Image("test/app"))
-        orch.supervise("victim", RestartPolicy(mode="on-failure"))
-        orch.remove("victim")
-        sim.run(until=10.0)
-        assert "victim" not in orch.containers
-
-
-class TestHealthProbe:
-    def test_probe_kills_unhealthy_container(self, env):
-        sim, lan, orch = env
-        container = orch.run("victim", Image("test/app"))
-        healthy = [True]
-        orch.add_health_probe("victim", interval=1.0, check=lambda c: healthy[0])
-        sim.schedule(3.5, healthy.__setitem__, 0, False)
-        sim.run(until=6.0)
-        assert container.state is ContainerState.FAILED
-        # The probe kills the container directly, so the trace is the
-        # unhealthy verdict followed by the failed exit.
-        assert [e.kind for e in orch.events] == ["supervisor.unhealthy", "supervisor.exit"]
-
-    def test_probe_plus_policy_revives(self, env):
-        sim, lan, orch = env
-        container = orch.run("victim", Image("test/app"))
-        orch.supervise("victim", RestartPolicy(mode="on-failure", jitter=0.0))
-        healthy = [True]
-        orch.add_health_probe("victim", interval=1.0, check=lambda c: healthy[0])
-        sim.schedule(2.5, healthy.__setitem__, 0, False)
-        sim.schedule(3.5, healthy.__setitem__, 0, True)
-        sim.run(until=10.0)
+    def test_restarts_metric_counts_each_restart(self):
+        with obs.scope() as ctx:
+            sim = Simulator()
+            orch = Orchestrator(sim, CsmaLan(sim), seed=4)
+            container = orch.run("victim", Image("test/app"))
+            orch.supervise("victim", RestartPolicy(mode="on-failure", jitter=0.0))
+            sim.schedule(1.0, orch.kill, "victim")
+            sim.schedule(20.0, orch.kill, "victim")
+            sim.run(until=40.0)
+        restarts = ctx.registry.value("container.restarts")
         assert container.state is ContainerState.RUNNING
-        assert container.restart_count == 1
-
-    def test_probe_interval_validated(self, env):
-        sim, lan, orch = env
-        orch.run("victim", Image("test/app"))
-        with pytest.raises(ValueError):
-            orch.add_health_probe("victim", interval=0.0)
-
-    def test_default_check_uses_is_healthy(self, env):
-        sim, lan, orch = env
-        container = orch.run("victim", Image("test/app"))
-        orch.add_health_probe("victim", interval=1.0)
-        sim.run(until=3.0)
-        assert container.state is ContainerState.RUNNING  # healthy: no probes fired it
+        assert restarts == 2.0
+        assert container.restart_count == 2
+        assert len(orch.events.by_kind("supervisor.restart")) == 2
 
 
 class TestRestartMechanics:

@@ -122,11 +122,6 @@ class TestCapture:
         assert second.records[0].timestamp > first.records[-1].timestamp - 3.0
         assert second.records[0].timestamp >= first.records[0].timestamp
 
-    def test_rebase_option(self, infected_testbed):
-        testbed, _ = infected_testbed
-        capture = testbed.capture(3.0, rebase_timestamps=True)
-        assert capture.records[0].timestamp < 1.0
-
     def test_pcap_export(self, infected_testbed, tmp_path):
         from repro.sim.tracing import PcapReader
 
