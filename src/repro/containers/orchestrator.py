@@ -27,11 +27,10 @@ from repro import obs
 from repro.containers.bridge import TapBridge
 from repro.containers.container import Container, ContainerState
 from repro.containers.image import Image
+from repro.faults.plan import RESTART_MODES
 from repro.obs.events import EventLog
 from repro.sim.core import Event, Simulator
 from repro.sim.topology import CsmaLan
-
-RESTART_MODES = ("no", "on-failure", "always")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,9 @@ the paper's Keras model (Keras's default precision).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+
 import numpy as np
 
 from repro.ml.layers import (
@@ -25,6 +28,35 @@ from repro.ml.layers import (
 from repro.ml.preprocessing import NotFittedError
 
 
+@contextmanager
+def _packed(layers: list[Layer]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every layer's ``W`` and ``b``, and its ``dW`` and ``db``, as views of
+    two flat buffers, yielded so that Adam steps one array; on exit each
+    layer owns separate arrays again.
+
+    Adam is elementwise, so one step over the buffer rounds exactly as a
+    step over each array.
+    """
+    slots = [(layer, name) for layer in layers if layer.params() for name in ("W", "b")]
+    arrays = [getattr(layer, name) for layer, name in slots]
+    if len({a.dtype for a in arrays}) > 1:
+        raise ValueError("packing needs every parameter in one dtype")
+    params = np.concatenate([a.ravel() for a in arrays]) if arrays else np.empty(0)
+    grads = np.zeros_like(params)
+    offset = 0
+    for (layer, name), array in zip(slots, arrays):
+        end = offset + array.size
+        setattr(layer, name, params[offset:end].reshape(array.shape))
+        setattr(layer, "d" + name, grads[offset:end].reshape(array.shape))
+        offset = end
+    try:
+        yield params, grads
+    finally:
+        for layer, name in slots:
+            for attr in (name, "d" + name):
+                setattr(layer, attr, getattr(layer, attr).copy())
+
+
 class Sequential:
     """A plain layer stack with Adam training and weight (de)serialisation."""
 
@@ -39,8 +71,10 @@ class Sequential:
         return x
 
     def backward(self, grad: np.ndarray) -> None:
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
+        # Nothing reads the first layer's input gradient.
+        self.layers[0].backward_params(grad)
 
     def params(self) -> list[np.ndarray]:
         out: list[np.ndarray] = []
@@ -83,24 +117,25 @@ class Sequential:
         verbose: bool = False,
     ) -> "Sequential":
         rng = np.random.default_rng(seed)
-        optimizer = Adam(self.params(), lr=lr)
         n = len(X)
-        for epoch in range(epochs):
-            order = rng.permutation(n)
-            epoch_loss = 0.0
-            batches = 0
-            for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
-                logits = self.forward(X[idx], training=True)
-                loss, _ = self.loss.forward(logits, y[idx])
-                self.backward(self.loss.backward())
-                optimizer.step(self.grads())
-                epoch_loss += loss
-                batches += 1
-            mean_loss = epoch_loss / max(batches, 1)
-            self.history.append(mean_loss)
-            if verbose:
-                print(f"epoch {epoch + 1}/{epochs} loss={mean_loss:.4f}")
+        with _packed(self.layers) as (params, grads):
+            optimizer = Adam([params], lr=lr)
+            for epoch in range(epochs):
+                order = rng.permutation(n)
+                epoch_loss = 0.0
+                batches = 0
+                for start in range(0, n, batch_size):
+                    idx = order[start : start + batch_size]
+                    logits = self.forward(X[idx], training=True)
+                    loss, _ = self.loss.forward(logits, y[idx])
+                    self.backward(self.loss.backward())
+                    optimizer.step([grads])
+                    epoch_loss += loss
+                    batches += 1
+                mean_loss = epoch_loss / max(batches, 1)
+                self.history.append(mean_loss)
+                if verbose:
+                    print(f"epoch {epoch + 1}/{epochs} loss={mean_loss:.4f}")
         return self
 
     def predict(self, X: np.ndarray, batch_size: int = 1024) -> np.ndarray:

@@ -27,6 +27,44 @@ def _pairwise_sq_dists(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.maximum(x_sq + c_sq - 2.0 * X @ centers.T, 0.0)
 
 
+class _Rows:
+    """A fit's data ``X`` with the per-row terms of its distances computed
+    once: ``sq`` is ``||x||^2`` as a column, ``twice`` is ``2.0 * X``.
+
+    :meth:`sq_dists` rounds exactly as :func:`_pairwise_sq_dists`, which
+    the predict path keeps: it frees ``2.0 * X`` before the subtraction,
+    and so bounds a chunk's peak (Table II's memory column).
+    """
+
+    def __init__(self, X: np.ndarray) -> None:
+        self.X = X
+        self.sq = np.sum(X**2, axis=1)[:, None]
+        self.twice = 2.0 * X
+
+    def sq_dists(self, centers: np.ndarray) -> np.ndarray:
+        c_sq = np.sum(centers**2, axis=1)[None, :]
+        return np.maximum(self.sq + c_sq - self.twice @ centers.T, 0.0)
+
+
+def _cluster_means(X: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Each centre moved to its members' mean; an empty cluster keeps its
+    old centre.
+
+    Per column, ``bincount`` sums each cluster's members in row order, as
+    ``X[labels == c].mean(axis=0)`` does for two or more columns, so the
+    two agree bit for bit there.  (With one column numpy's mean sums
+    pairwise, and the two differ in the last bits.)
+    """
+    k = len(centers)
+    counts = np.bincount(labels, minlength=k)
+    filled = counts > 0
+    new_centers = centers.copy()
+    for j in range(X.shape[1]):
+        sums = np.bincount(labels, weights=X[:, j], minlength=k)
+        new_centers[filled, j] = sums[filled] / counts[filled]
+    return new_centers
+
+
 def _nearest_center(X: np.ndarray, centers: np.ndarray, chunk: int = 256) -> np.ndarray:
     """argmin over centers, computed in row chunks to bound the working set
     (Table II's memory column is the busiest window's peak)."""
@@ -37,12 +75,13 @@ def _nearest_center(X: np.ndarray, centers: np.ndarray, chunk: int = 256) -> np.
     return out
 
 
-def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(rows: _Rows, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: spread initial centers by D² sampling."""
+    X = rows.X
     n = len(X)
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(n)]
-    closest = _pairwise_sq_dists(X, centers[:1]).ravel()
+    closest = rows.sq_dists(centers[:1]).ravel()
     for i in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -50,7 +89,7 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
             break
         probabilities = closest / total
         centers[i] = X[rng.choice(n, p=probabilities)]
-        closest = np.minimum(closest, _pairwise_sq_dists(X, centers[i : i + 1]).ravel())
+        closest = np.minimum(closest, rows.sq_dists(centers[i : i + 1]).ravel())
     return centers
 
 
@@ -82,21 +121,17 @@ class KMeans:
                 f"n_samples={len(X)} < n_clusters={self.n_clusters}"
             )
         rng = np.random.default_rng(self.random_state)
-        centers = _kmeans_pp_init(X, self.n_clusters, rng)
+        rows = _Rows(X)
+        centers = _kmeans_pp_init(rows, self.n_clusters, rng)
         for iteration in range(self.max_iter):
-            dists = _pairwise_sq_dists(X, centers)
-            labels = np.argmin(dists, axis=1)
-            new_centers = centers.copy()
-            for cluster in range(self.n_clusters):
-                members = X[labels == cluster]
-                if len(members):
-                    new_centers[cluster] = members.mean(axis=0)
+            labels = np.argmin(rows.sq_dists(centers), axis=1)
+            new_centers = _cluster_means(X, labels, centers)
             shift = float(np.max(np.abs(new_centers - centers)))
             centers = new_centers
             self.n_iter_ = iteration + 1
             if shift < self.tol:
                 break
-        dists = _pairwise_sq_dists(X, centers)
+        dists = rows.sq_dists(centers)
         self.labels_ = np.argmin(dists, axis=1)
         self.inertia_ = float(dists[np.arange(len(X)), self.labels_].sum())
         self.cluster_centers_ = centers
@@ -162,19 +197,20 @@ class UnsupervisedKMeans:
         n = len(X)
         k = min(self.max_clusters, n)
         rng = np.random.default_rng(self.random_state)
-        centers = _kmeans_pp_init(X, k, rng)
+        rows = _Rows(X)
+        centers = _kmeans_pp_init(rows, k, rng)
         alpha = np.full(k, 1.0 / k)
         # gamma is set from the scale of actual point-to-centre squared
         # distances so the -gamma*ln(alpha) penalty competes with them:
         # large clusters then absorb points whose distance margin is
         # smaller than the penalty gap (the paper's rich-get-richer
         # mechanism that starves spurious clusters).
-        d2 = _pairwise_sq_dists(X, centers)
+        d2 = rows.sq_dists(centers)
         gamma = self.gamma_scale * float(np.mean(d2.min(axis=1))) + 1e-12
         labels = np.zeros(n, dtype=int)
         for iteration in range(self.max_iter):
             penalty = -gamma * np.log(np.maximum(alpha, 1e-12))
-            cost = _pairwise_sq_dists(X, centers) + penalty[None, :]
+            cost = rows.sq_dists(centers) + penalty[None, :]
             new_labels = np.argmin(cost, axis=1)
             counts = np.bincount(new_labels, minlength=len(centers)).astype(float)
             proportions = counts / n
@@ -196,15 +232,11 @@ class UnsupervisedKMeans:
                 alpha = alpha[keep]
                 total = alpha.sum()
                 alpha = alpha / total if total > 0 else np.full(len(centers), 1.0 / len(centers))
-                cost = _pairwise_sq_dists(X, centers) - gamma * np.log(
+                cost = rows.sq_dists(centers) - gamma * np.log(
                     np.maximum(alpha, 1e-12)
                 )[None, :]
                 new_labels = np.argmin(cost, axis=1)
-            new_centers = centers.copy()
-            for cluster in range(len(centers)):
-                members = X[new_labels == cluster]
-                if len(members):
-                    new_centers[cluster] = members.mean(axis=0)
+            new_centers = _cluster_means(X, new_labels, centers)
             shift = float(np.max(np.abs(new_centers - centers))) if len(centers) else 0.0
             stable = np.array_equal(new_labels, labels) and shift < self.tol
             centers = new_centers

@@ -9,6 +9,12 @@ Every layer computes in its input's dtype: float64 in, float64 out;
 float32 in (the CNN, as Keras trains by default), float32 out.  Only
 Dropout's uniform draws are float64 either way, so its mask stream does
 not depend on the dtype.
+
+ReLU, max pooling and dropout keep their backward masks as arrays of the
+input's dtype, and only a training forward builds them: an inference
+forward keeps no mask, and a ``backward`` after one raises.  Multiplying
+by a 1.0/0.0 mask rounds exactly as multiplying by a boolean one, signed
+zeros included, so the masks change no bits.
 """
 
 from __future__ import annotations
@@ -46,6 +52,11 @@ class Layer:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def backward_params(self, grad: np.ndarray) -> None:
+        """Fill the parameter gradients only: the backward of a first
+        layer, whose input gradient nothing reads."""
+        self.backward(grad)
+
     def params(self) -> list[np.ndarray]:
         """Trainable arrays (shared references, updated in place)."""
         return []
@@ -70,10 +81,13 @@ class Dense(Layer):
         self._x = x
         return x @ self.W + self.b
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward_params(self, grad: np.ndarray) -> None:
         assert self._x is not None
         self.dW[...] = self._x.T @ grad
         self.db[...] = grad.sum(axis=0)
+
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        self.backward_params(grad)
         return grad @ self.W.T
 
     def params(self) -> list[np.ndarray]:
@@ -120,31 +134,39 @@ class Conv1D(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         n, c, length = x.shape
         left, right = self._pad_amounts()
-        xp = np.zeros((n, c, length + left + right), dtype=x.dtype)
-        xp[:, :, left : left + length] = x
-        out_len = xp.shape[2] - self.kernel_size + 1
-        # im2col: (n, c*k, out_len)
-        idx = np.arange(self.kernel_size)[None, :] + np.arange(out_len)[:, None]
-        cols = xp[:, :, idx]  # (n, c, out_len, k)
-        cols = cols.transpose(0, 2, 1, 3).reshape(n, out_len, c * self.kernel_size)
+        k = self.kernel_size
+        out_len = length + left + right - k + 1
+        # im2col, (n, out_len, c, k): tap j of output i reads input
+        # i + j - left, and the taps that fall in the padding stay zero.
+        cols = np.zeros((n, out_len, c, k), dtype=x.dtype)
+        xt = x.transpose(0, 2, 1)  # (n, length, c)
+        for j in range(k):
+            lo, hi = max(0, left - j), min(out_len, length + left - j)
+            cols[:, lo:hi, :, j] = xt[:, lo + j - left : hi + j - left]
+        cols = cols.reshape(n, out_len, c * k)
         self._cols = cols
         self._x_shape = (n, c, length)
         w2 = self.W.reshape(self.W.shape[0], -1)  # (F, c*k)
         out = cols @ w2.T + self.b  # (n, out_len, F)
         return out.transpose(0, 2, 1)  # (n, F, out_len)
 
+    def backward_params(self, grad: np.ndarray) -> None:
+        assert self._cols is not None
+        g = grad.transpose(0, 2, 1)  # (n, out_len, F)
+        # The weight gradient sums over batch and position at once: one
+        # GEMM over the flattened (n * out_len) axis.
+        self.dW[...] = (
+            g.reshape(-1, self.W.shape[0]).T @ self._cols.reshape(-1, self._cols.shape[2])
+        ).reshape(self.W.shape)
+        self.db[...] = g.sum(axis=(0, 1))
+
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        assert self._cols is not None and self._x_shape is not None
+        assert self._x_shape is not None
+        self.backward_params(grad)
         n, c, length = self._x_shape
         g = grad.transpose(0, 2, 1)  # (n, out_len, F)
         out_len = g.shape[1]
         w2 = self.W.reshape(self.W.shape[0], -1)
-        # The weight gradient sums over batch and position at once: one
-        # GEMM over the flattened (n * out_len) axis.
-        self.dW[...] = (
-            g.reshape(-1, w2.shape[0]).T @ self._cols.reshape(-1, w2.shape[1])
-        ).reshape(self.W.shape)
-        self.db[...] = g.sum(axis=(0, 1))
         dcols = g @ w2  # (n, out_len, c*k)
         dcols = dcols.reshape(n, out_len, c, self.kernel_size).transpose(0, 2, 1, 3)
         left, right = self._pad_amounts()
@@ -162,14 +184,25 @@ class Conv1D(Layer):
         return [self.dW, self.db]
 
 
+def _backward_mask(layer: Layer) -> np.ndarray:
+    """The mask ``layer``'s last training forward kept for its backward."""
+    mask = layer._mask
+    if mask is None:
+        raise RuntimeError(
+            f"{type(layer).__name__}.backward needs a forward with training=True"
+        )
+    return mask
+
+
 class MaxPool1D(Layer):
     """Non-overlapping max pooling along the length axis."""
+
+    _mask: np.ndarray | None = None
 
     def __init__(self, pool_size: int = 2) -> None:
         if pool_size < 1:
             raise ValueError(f"pool_size must be >= 1, got {pool_size}")
         self.pool_size = pool_size
-        self._mask: np.ndarray | None = None
         self._x_shape: tuple | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -177,38 +210,50 @@ class MaxPool1D(Layer):
         p = self.pool_size
         out_len = length // p
         trimmed = x[:, :, : out_len * p].reshape(n, c, out_len, p)
-        # One sweep over the pool taps for the max, one for the mask that
-        # routes each pool's gradient to its first maximum only.
+        # One sweep over the pool taps for the max and, in training, one
+        # for the mask that routes each pool's gradient to its first
+        # maximum only.
         out = trimmed[..., 0].copy()
         for tap in range(1, p):
             np.maximum(out, trimmed[..., tap], out=out)
-        self._mask = mask = np.empty(trimmed.shape, dtype=bool)
-        taken = np.equal(trimmed[..., 0], out, out=mask[..., 0]).copy()
+        self._x_shape = (n, c, length)
+        if not training:
+            self._mask = None
+            return out
+        hits = np.empty(trimmed.shape, dtype=bool)
+        taken = np.equal(trimmed[..., 0], out, out=hits[..., 0]).copy()
         for tap in range(1, p):
-            hit = np.equal(trimmed[..., tap], out, out=mask[..., tap])
+            hit = np.equal(trimmed[..., tap], out, out=hits[..., tap])
             hit &= ~taken
             taken |= hit
-        self._x_shape = (n, c, length)
+        self._mask = hits.astype(x.dtype)
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        assert self._mask is not None and self._x_shape is not None
+        mask = _backward_mask(self)
         n, c, length = self._x_shape
         p = self.pool_size
         out_len = grad.shape[2]
         dx = np.zeros((n, c, length), dtype=grad.dtype)
-        expanded = self._mask * grad[..., None]
+        expanded = mask * grad[..., None]
         dx[:, :, : out_len * p] = expanded.reshape(n, c, out_len * p)
         return dx
 
 
 class ReLU(Layer):
+    """``x * (x > 0)``, so a negative input gives -0.0."""
+
+    _mask: np.ndarray | None = None
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
+        if not training:
+            self._mask = None
+            return x * (x > 0)
+        self._mask = mask = (x > 0).astype(x.dtype)
+        return x * mask
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad * self._mask
+        return grad * _backward_mask(self)
 
 
 class Flatten(Layer):
@@ -235,7 +280,11 @@ class Dropout(Layer):
             self._mask = None
             return x
         keep = 1.0 - self.rate
-        self._mask = ((self.rng.random(x.shape) < keep) / keep).astype(x.dtype, copy=False)
+        # The float64 draw pins the mask stream.  Kept units scale by
+        # 1 / keep rounded to x's dtype: the bits of
+        # ((u < keep) / keep).astype(x.dtype), without a float64 mask.
+        scale = x.dtype.type(1.0 / keep)
+        self._mask = (self.rng.random(x.shape) < keep) * scale
         return x * self._mask
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

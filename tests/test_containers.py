@@ -8,8 +8,10 @@ from repro.containers import (
     Image,
     Orchestrator,
     Process,
+    RestartPolicy,
 )
 from repro.containers.container import ContainerError
+from repro.faults import FaultSpec
 from repro.sim import CsmaLan, Simulator
 from repro.sim.node import Node
 
@@ -91,6 +93,21 @@ class TestContainerLifecycle:
         sim.schedule(5.0, lambda: None)
         sim.run()
         assert container.uptime == pytest.approx(5.0)
+
+
+class TestRestartModes:
+    """A kill fault's restart and the supervisor's policy take the same modes."""
+
+    @pytest.mark.parametrize("mode", ["no", "on-failure", "always"])
+    def test_every_mode_accepted_by_both(self, mode):
+        assert FaultSpec(kind="kill", start=1.0, targets=("dev-0",), restart=mode).restart == mode
+        assert RestartPolicy(mode=mode).mode == mode
+
+    def test_unknown_mode_rejected_by_both(self):
+        with pytest.raises(ValueError, match="restart"):
+            FaultSpec(kind="kill", start=1.0, targets=("dev-0",), restart="sometimes")
+        with pytest.raises(ValueError, match="restart"):
+            RestartPolicy(mode="sometimes")
 
 
 class TestOrchestrator:

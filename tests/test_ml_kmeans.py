@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ml import KMeans, KMeansDetector, UnsupervisedKMeans, accuracy_score
-from repro.ml.kmeans import _kmeans_pp_init, _pairwise_sq_dists
+from repro.ml import kmeans as kmeans_module
+from repro.ml.kmeans import _Rows, _cluster_means, _kmeans_pp_init, _pairwise_sq_dists
 from repro.ml.preprocessing import NotFittedError
 
 
@@ -15,6 +16,84 @@ def blobs(k=3, n_per=60, d=2, sep=8.0, seed=0):
     X = np.vstack([rng.normal(c, 0.5, (n_per, d)) for c in centers])
     labels = np.repeat(np.arange(k), n_per)
     return X, labels, centers
+
+
+def loop_means(X, labels, centers):
+    """The per-cluster loop the bincount update replaced (the reference)."""
+    new_centers = centers.copy()
+    for cluster in range(len(centers)):
+        members = X[labels == cluster]
+        if len(members):
+            new_centers[cluster] = members.mean(axis=0)
+    return new_centers
+
+
+class OracleRows(_Rows):
+    """Distances recomputed from X on every call, as the fits did."""
+
+    def sq_dists(self, centers):
+        return _pairwise_sq_dists(self.X, centers)
+
+
+def wide_data(n=3000, d=19, seed=20):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, d))
+
+
+class TestFitKernelsMatchReference:
+    @pytest.mark.parametrize("d", [2, 19])
+    def test_cluster_means_match_member_mean_loop(self, d):
+        rng = np.random.default_rng(21)
+        X = wide_data(10_948, d)
+        centers = rng.normal(size=(40, d))
+        labels = rng.integers(0, 40, size=len(X))
+        labels[labels == 7] = 8  # cluster 7 is empty and keeps its centre
+        new_centers = _cluster_means(X, labels, centers)
+        assert new_centers.tobytes() == loop_means(X, labels, centers).tobytes()
+        assert new_centers[7].tobytes() == centers[7].tobytes()
+
+    def test_one_column_means_within_summation_bound(self):
+        # numpy's mean sums one column pairwise, bincount in row order.
+        # Each sum of m terms lies within (m - 1) * eps / 2 * sum|x| of the
+        # exact one, so the means lie within eps * sum|x| of each other,
+        # plus a rounding of eps / 2 * |mean| for each division.
+        rng = np.random.default_rng(22)
+        X = wide_data(5_000, 1)
+        labels = rng.integers(0, 5, size=len(X))
+        centers = np.zeros((5, 1))
+        new_centers = _cluster_means(X, labels, centers)
+        eps = np.finfo(float).eps
+        for c in range(5):
+            members = np.abs(X[labels == c, 0])
+            bound = 2 * eps * members.sum()
+            assert abs(new_centers[c, 0] - loop_means(X, labels, centers)[c, 0]) <= bound
+
+    def test_rows_match_pairwise_distances(self):
+        X = wide_data()
+        centers = np.random.default_rng(23).normal(size=(40, 19))
+        for subset in (centers[:1], centers):
+            assert _Rows(X).sq_dists(subset).tobytes() == _pairwise_sq_dists(X, subset).tobytes()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: KMeans(n_clusters=40, random_state=3),
+            lambda: UnsupervisedKMeans(max_clusters=20, random_state=3),
+        ],
+    )
+    def test_fits_match_reference_fits(self, make, monkeypatch):
+        X = wide_data()
+        fast = make().fit(X)
+        monkeypatch.setattr(kmeans_module, "_cluster_means", loop_means)
+        monkeypatch.setattr(kmeans_module, "_Rows", OracleRows)
+        reference = make().fit(X)
+        assert fast.n_iter_ == reference.n_iter_ > 1
+        assert fast.cluster_centers_.tobytes() == reference.cluster_centers_.tobytes()
+        assert fast.labels_.tobytes() == reference.labels_.tobytes()
+        if isinstance(fast, KMeans):
+            assert fast.inertia_ == reference.inertia_
+        else:
+            assert fast.mixing_proportions_.tobytes() == reference.mixing_proportions_.tobytes()
 
 
 class TestDistances:
@@ -34,7 +113,7 @@ class TestDistances:
 class TestKMeansPlusPlus:
     def test_returns_k_centers_from_data_region(self):
         X, _, _ = blobs()
-        centers = _kmeans_pp_init(X, 3, np.random.default_rng(1))
+        centers = _kmeans_pp_init(_Rows(X), 3, np.random.default_rng(1))
         assert centers.shape == (3, 2)
 
 

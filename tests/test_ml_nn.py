@@ -41,6 +41,8 @@ def numeric_gradient(f, x, eps=1e-6):
 # --- Oracle kernels: the allocation-heavy versions the layers replaced.
 # The conv weight gradient is the layer's own GEMM (the einsum it replaced
 # sums in another order); TestConvWeightGradient bounds the two apart.
+# Each oracle computes its input gradient even as a first layer, and keeps
+# boolean masks, built at inference too.
 
 
 class OracleConv1D(Conv1D):
@@ -72,6 +74,9 @@ class OracleConv1D(Conv1D):
         np.add.at(dxp, (slice(None), slice(None), idx), dcols)
         return dxp[:, :, left : left + length]
 
+    def backward_params(self, grad):
+        self.backward(grad)
+
 
 class OracleMaxPool1D(MaxPool1D):
     def forward(self, x, training=False):
@@ -84,6 +89,22 @@ class OracleMaxPool1D(MaxPool1D):
         self._mask &= np.cumsum(self._mask, axis=3) == 1
         self._x_shape = (n, c, length)
         return out
+
+
+class OracleReLU(ReLU):
+    def forward(self, x, training=False):
+        self._mask = x > 0
+        return x * self._mask
+
+
+class OracleDropout(Dropout):
+    def forward(self, x, training=False):
+        if not training or self.rate == 0.0:
+            self._mask = None
+            return x
+        keep = 1.0 - self.rate
+        self._mask = ((self.rng.random(x.shape) < keep) / keep).astype(x.dtype, copy=False)
+        return x * self._mask
 
 
 class OracleAdam(Adam):
@@ -128,10 +149,25 @@ class TestKernelsMatchOracle:
         x = v * (v > 0)
         assert np.signbit(x[x == 0]).any() and not np.signbit(x[x == 0]).all()
         fast, oracle = MaxPool1D(pool_size), OracleMaxPool1D(pool_size)
-        assert_bits_equal(fast.forward(x), oracle.forward(x))
+        assert_bits_equal(fast.forward(x, training=True), oracle.forward(x))
+        assert fast._mask.dtype == x.dtype
         np.testing.assert_array_equal(fast._mask, oracle._mask)
         grad = rng.normal(size=(5, 4, 13 // pool_size))
         assert_bits_equal(fast.backward(grad), oracle.backward(grad))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_relu_and_dropout(self, dtype):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(6, 40)).astype(dtype)
+        x[0, :4] = [-0.0, 0.0, -1.0, 1.0]
+        grad = rng.normal(size=x.shape).astype(dtype)
+        for fast, oracle in [
+            (ReLU(), OracleReLU()),
+            (Dropout(0.3, np.random.default_rng(6)), OracleDropout(0.3, np.random.default_rng(6))),
+        ]:
+            assert_bits_equal(fast.forward(x, training=True), oracle.forward(x, training=True))
+            assert_bits_equal(fast.backward(grad), oracle.backward(grad))
+            assert_bits_equal(fast.forward(x), oracle.forward(x))
 
     def test_adam_steps(self):
         rng = np.random.default_rng(4)
@@ -146,6 +182,28 @@ class TestKernelsMatchOracle:
         for a, b in zip(fast_params + fast.m + fast.v, oracle_params + oracle.m + oracle.v):
             assert_bits_equal(a, b)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_adam_on_packed_buffers_matches_per_array(self, dtype):
+        rng = np.random.default_rng(16)
+        layers = _layer_stack(dtype)
+        reference = [p.copy() for layer in layers for p in layer.params()]
+        per_array = Adam(reference, lr=0.01)
+        with cnn_module._packed(layers) as (params, grads):
+            packed = Adam([params], lr=0.01)
+            for _ in range(25):
+                for layer in layers:
+                    for g in layer.grads():
+                        g[...] = rng.normal(size=g.shape) * rng.choice([1e-6, 1.0, 1e3])
+                per_array.step([g.copy() for layer in layers for g in layer.grads()])
+                packed.step([grads])
+            assert all(np.shares_memory(p, params) for layer in layers for p in layer.params())
+        after = [p for layer in layers for p in layer.params()]
+        assert not any(np.shares_memory(p, params) for p in after)
+        for a, b in zip(after, reference):
+            assert_bits_equal(a, b)
+        assert_bits_equal(packed.m[0], np.concatenate([m.ravel() for m in per_array.m]))
+        assert_bits_equal(packed.v[0], np.concatenate([v.ravel() for v in per_array.v]))
+
     def test_cnn_fit_matches_oracle_kernels(self, monkeypatch):
         # Both sides fit in float32, the CnnClassifier's precision.
         rng = np.random.default_rng(10)
@@ -156,9 +214,12 @@ class TestKernelsMatchOracle:
         fast = CnnClassifier(**spec).fit(X, y)
         monkeypatch.setattr(cnn_module, "Conv1D", OracleConv1D)
         monkeypatch.setattr(cnn_module, "MaxPool1D", OracleMaxPool1D)
+        monkeypatch.setattr(cnn_module, "ReLU", OracleReLU)
+        monkeypatch.setattr(cnn_module, "Dropout", OracleDropout)
         monkeypatch.setattr(cnn_module, "Adam", OracleAdam)
         oracle = CnnClassifier(**spec).fit(X, y)
-        assert isinstance(oracle.net.layers[0], OracleConv1D)
+        kinds = {type(layer) for layer in oracle.net.layers}
+        assert {OracleConv1D, OracleMaxPool1D, OracleReLU, OracleDropout} <= kinds
         assert fast.net.history == oracle.net.history
         for a, b in zip(fast.net.params(), oracle.net.params()):
             assert a.dtype == np.float32
@@ -287,7 +348,7 @@ class TestFloat32MatchesFloat64Oracles:
         v = rng.integers(-3, 3, size=(5, 4, 13)).astype(np.float32)
         x = v * (v > 0)
         fast, oracle = MaxPool1D(pool_size), OracleMaxPool1D(pool_size)
-        out = fast.forward(x)
+        out = fast.forward(x, training=True)
         np.testing.assert_array_equal(out, oracle.forward(x.astype(np.float64)))
         np.testing.assert_array_equal(fast._mask, oracle._mask)
         grad = rng.normal(size=out.shape).astype(np.float32)
@@ -361,7 +422,7 @@ class TestGradientChecks:
     def test_maxpool_gradient_routes_to_max(self):
         layer = MaxPool1D(2)
         x = np.array([[[1.0, 5.0, 2.0, 3.0]]])
-        out = layer.forward(x)
+        out = layer.forward(x, training=True)
         np.testing.assert_array_equal(out, [[[5.0, 3.0]]])
         dx = layer.backward(np.array([[[1.0, 2.0]]]))
         np.testing.assert_array_equal(dx, [[[0.0, 1.0, 0.0, 2.0]]])
@@ -369,22 +430,36 @@ class TestGradientChecks:
     def test_maxpool_tie_routes_once(self):
         layer = MaxPool1D(2)
         x = np.array([[[3.0, 3.0]]])
-        layer.forward(x)
+        layer.forward(x, training=True)
         dx = layer.backward(np.array([[[1.0]]]))
         assert dx.sum() == 1.0
 
     def test_maxpool_tie_routes_to_first_max_of_three(self):
         layer = MaxPool1D(3)
         x = np.array([[[2.0, 5.0, 5.0, 4.0, 4.0, 4.0, 1.0]]])
-        np.testing.assert_array_equal(layer.forward(x), [[[5.0, 4.0]]])
+        np.testing.assert_array_equal(layer.forward(x, training=True), [[[5.0, 4.0]]])
         dx = layer.backward(np.array([[[1.0, 2.0]]]))
         np.testing.assert_array_equal(dx, [[[0.0, 1.0, 0.0, 2.0, 0.0, 0.0, 0.0]]])
 
     def test_relu(self):
         layer = ReLU()
         x = np.array([[-1.0, 2.0]])
-        np.testing.assert_array_equal(layer.forward(x), [[0.0, 2.0]])
+        np.testing.assert_array_equal(layer.forward(x, training=True), [[0.0, 2.0]])
         np.testing.assert_array_equal(layer.backward(np.ones((1, 2))), [[0.0, 1.0]])
+
+    @pytest.mark.parametrize("make, grad_len", [(ReLU, 4), (lambda: MaxPool1D(2), 2)])
+    def test_backward_after_inference_forward_raises(self, make, grad_len):
+        layer = make()
+        x = RNG.normal(0, 1, (2, 3, 4))
+        grad = np.ones((2, 3, grad_len))
+        name = type(layer).__name__
+        with pytest.raises(RuntimeError, match=name):
+            layer.backward(grad)
+        layer.forward(x, training=True)
+        layer.backward(grad)
+        layer.forward(x)  # inference drops the training forward's mask
+        with pytest.raises(RuntimeError, match=name):
+            layer.backward(grad)
 
     def test_flatten_roundtrip(self):
         layer = Flatten()
