@@ -39,11 +39,11 @@ def crossed_specs(seed: int) -> list[ModelSpec]:
                   **norm_view),
         ModelSpec("KM/raw-counts",
                   lambda n, s=seed: KMeansDetector(
-                      n_clusters=40, auto_k=False, random_state=s),
+                      n_clusters=40, random_state=s),
                   **raw_view),
         ModelSpec("KM/normalized",
                   lambda n, s=seed: KMeansDetector(
-                      n_clusters=40, auto_k=False, random_state=s),
+                      n_clusters=40, random_state=s),
                   **norm_view),
     ]
 

@@ -24,7 +24,7 @@ from conftest import write_result
 ROUNDS = 8
 
 
-def run_federated(train_capture, detect_capture, testbed, scenario):
+def run_federated(train_capture, detect_capture, scenario):
     extractor = FeatureExtractor(
         window_seconds=scenario.window_seconds,
         include_details=True,
@@ -45,7 +45,7 @@ def run_federated(train_capture, detect_capture, testbed, scenario):
     # Duty-cycle sharding: device i's monitor is awake during windows
     # with index ≡ i (mod n_devices) and sees everything on the shared
     # medium in those seconds only.
-    n_devices = len(testbed.devices)
+    n_devices = scenario.n_devices
     owner = window_ids % n_devices
 
     def train_fn(model, Xc, yc):
@@ -82,11 +82,10 @@ def run_federated(train_capture, detect_capture, testbed, scenario):
     return coordinator, central_accuracy, len(clients)
 
 
-def test_ablation_federated(benchmark, train_capture, detect_capture, infected_testbed, scenario):
-    testbed, _ = infected_testbed
+def test_ablation_federated(benchmark, train_capture, detect_capture, scenario):
     coordinator, central_accuracy, n_clients = benchmark.pedantic(
         run_federated,
-        args=(train_capture, detect_capture, testbed, scenario),
+        args=(train_capture, detect_capture, scenario),
         rounds=1,
         iterations=1,
     )

@@ -32,7 +32,7 @@ def sweep(train_capture, detect_capture, seed):
     rows = []
     spec = ModelSpec(
         "K-Means",
-        lambda n, s=seed: KMeansDetector(n_clusters=40, auto_k=False, random_state=s),
+        lambda n, s=seed: KMeansDetector(n_clusters=40, random_state=s),
         stat_set="normalized",
         include_details=True,
         include_timestamp=False,

@@ -1,11 +1,11 @@
 """Shared fixtures for the benchmark harness.
 
-The expensive artefacts — one infected testbed, the training capture,
-the trained models, and the detection capture — are built once per
-session and shared by every bench.  Each bench times its own piece with
-``pytest-benchmark`` and writes the regenerated table/figure rows to
-``benchmarks/results/`` so the paper-vs-measured comparison survives the
-run.
+The expensive artefacts — the training capture, the trained models, the
+detection capture and its reports — come from one run of the staged
+experiment pipeline per session, shared by every bench.  Each bench
+times its own piece with ``pytest-benchmark`` and writes the regenerated
+table/figure rows to ``benchmarks/results/`` so the paper-vs-measured
+comparison survives the run.
 """
 
 from __future__ import annotations
@@ -14,12 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.testbed import (
-    Scenario,
-    Testbed,
-    run_realtime_detection,
-    train_models,
-)
+from repro.pipeline import run_experiment_pipeline
+from repro.testbed import Scenario
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -45,37 +41,27 @@ def scenario() -> Scenario:
 
 
 @pytest.fixture(scope="session")
-def infected_testbed(scenario):
-    testbed = Testbed(scenario).build()
-    infection_seconds = testbed.infect_all()
-    return testbed, infection_seconds
+def pipeline_run(scenario):
+    """build → capture-train → train-models → capture-detect → detect."""
+    _, outcome = run_experiment_pipeline(scenario, TRAIN_DURATION, DETECT_DURATION)
+    return outcome
 
 
 @pytest.fixture(scope="session")
-def train_capture(infected_testbed, scenario):
-    testbed, _ = infected_testbed
-    return testbed.capture(TRAIN_DURATION, scenario.training_schedule(TRAIN_DURATION))
+def train_capture(pipeline_run):
+    return pipeline_run.value("capture-train").dataset
 
 
 @pytest.fixture(scope="session")
-def trained_models(train_capture, scenario):
-    return train_models(
-        train_capture, window_seconds=scenario.window_seconds, seed=scenario.seed
-    )
+def trained_models(pipeline_run):
+    return pipeline_run.value("train-models")
 
 
 @pytest.fixture(scope="session")
-def detect_capture(infected_testbed, scenario, train_capture):
-    # Depends on train_capture so the virtual clock ordering matches the
-    # paper: the live run happens after the dataset-generation run.
-    testbed, _ = infected_testbed
-    return testbed.capture(
-        DETECT_DURATION, scenario.detection_schedule(DETECT_DURATION)
-    )
+def detect_capture(pipeline_run):
+    return pipeline_run.value("capture-detect").dataset
 
 
 @pytest.fixture(scope="session")
-def detection_reports(detect_capture, trained_models, scenario):
-    return run_realtime_detection(
-        detect_capture, trained_models, window_seconds=scenario.window_seconds
-    )
+def detection_reports(pipeline_run):
+    return pipeline_run.value("detect")

@@ -74,7 +74,7 @@ def main() -> None:
 
     # Built-in K-Means for comparison (scaled view).
     scaler = StandardScaler().fit(X_train)
-    kmeans = KMeansDetector(n_clusters=40, auto_k=False, random_state=3)
+    kmeans = KMeansDetector(n_clusters=40, random_state=3)
     kmeans.fit(scaler.transform(X_train), y_train)
     km_report = RealTimeIds(kmeans, "K-Means", extractor=extractor, scaler=scaler).process(
         live.to_batch()

@@ -34,7 +34,7 @@ def main() -> None:
     X, y, _ = extractor.transform(train.to_batch())
     X_train, X_test, y_train, y_test = train_test_split(X, y, seed=1)
     scaler = StandardScaler().fit(X_train)
-    model = KMeansDetector(n_clusters=40, auto_k=False, random_state=1)
+    model = KMeansDetector(n_clusters=40, random_state=1)
     model.fit(scaler.transform(X_train), y_train)
     from repro.ml import evaluate_classifier
 

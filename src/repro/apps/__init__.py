@@ -2,11 +2,12 @@
 
 The paper's TServer hosts three real servers that generate the benign
 side of the dataset: HTTP traffic (Apache), video streaming (Nginx RTMP),
-and file transfer (custom FTP server).  Device containers run the
-matching clients.  Every app here is a
-:class:`~repro.containers.container.Process` speaking through the
-simulated TCP stack, so benign flows have genuine handshakes, segment
-sizes, and teardowns for the IDS to learn from.
+and file transfer (custom FTP server).  Each device container runs a
+:class:`DeviceProfile` that opens the matching clients' sessions.  The
+servers and the profile are
+:class:`~repro.containers.container.Process` instances; every app speaks
+through the simulated TCP stack, so benign flows have genuine
+handshakes, segment sizes, and teardowns for the IDS to learn from.
 """
 
 from repro.apps.device import DeviceProfile, TrafficMix

@@ -64,11 +64,11 @@ class DeviceProfile(Process):
         self.rng = random.Random(seed)
         self.start_delay = start_delay
         self.tick = tick if tick is not None else self.mix.mean_session_interval / 2
-        self.http = HttpClient(tserver, http_pages, mean_interval=1e9, seed=seed * 3 + 1)
-        self.ftp = FtpClient(tserver, ftp_files, mean_interval=1e9, seed=seed * 3 + 2)
+        # Built once, so their draws and counters carry on across restarts.
+        self.http = HttpClient(tserver, http_pages, seed=seed * 3 + 1)
+        self.ftp = FtpClient(tserver, ftp_files, seed=seed * 3 + 2)
         self.rtmp = RtmpClient(
             tserver,
-            mean_interval=1e9,
             min_duration=rtmp_duration[0],
             max_duration=rtmp_duration[1],
             seed=seed * 3 + 3,
@@ -79,11 +79,6 @@ class DeviceProfile(Process):
         self._boot = None
 
     def on_start(self) -> None:
-        # Sub-clients are driven by this profile, not their own timers:
-        # their huge mean_interval means they never self-schedule.
-        for client in (self.http, self.ftp, self.rtmp):
-            client.container = self.container
-            client.running = True
         base = self.sim.now + self.start_delay
         self._next_session = base + self.rng.expovariate(
             1.0 / self.mix.mean_session_interval
@@ -100,8 +95,6 @@ class DeviceProfile(Process):
         if self._boot is not None:
             self._boot.cancel()
             self._boot = None
-        for client in (self.http, self.ftp, self.rtmp):
-            client.running = False
 
     def _tick(self) -> None:
         """Look ahead one tick window and book every session in it.
@@ -128,8 +121,8 @@ class DeviceProfile(Process):
             return
         self.sessions_started += 1
         if kind == "http":
-            self.http.fetch_once()
+            self.http.fetch_once(self.node)
         elif kind == "ftp":
-            self.ftp.download_once()
+            self.ftp.download_once(self.node)
         else:
-            self.rtmp.play_once()
+            self.rtmp.play_once(self.node)

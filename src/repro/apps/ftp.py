@@ -13,6 +13,7 @@ import random
 
 from repro.containers.container import Process
 from repro.sim.address import Ipv4Address
+from repro.sim.node import Node
 from repro.sim.tcp import TcpSocket
 
 FTP_CONTROL_PORT = 21
@@ -112,10 +113,12 @@ class FtpServer(Process):
         data_sock.connect(control.remote_address, session["data_port"], on_established)
 
 
-class FtpClient(Process):
-    """Logs in, downloads random files at exponential intervals."""
+class FtpClient:
+    """Logs in and downloads a random file, one FTP session per call.
 
-    name = "ftp-client"
+    Driven by a :class:`~repro.apps.device.DeviceProfile`, like
+    :class:`~repro.apps.http.HttpClient`.
+    """
 
     def __init__(
         self,
@@ -124,40 +127,24 @@ class FtpClient(Process):
         port: int = FTP_CONTROL_PORT,
         user: str = "iot",
         password: str = "iot123",
-        mean_interval: float = 20.0,
         seed: int = 4,
-        start_delay: float = 0.0,
     ) -> None:
-        super().__init__()
         self.server = server
         self.port = port
         self.files = files
         self.user = user
         self.password = password
-        self.mean_interval = mean_interval
         self.rng = random.Random(seed)
-        self.start_delay = start_delay
         self.downloads_completed = 0
         self.bytes_downloaded = 0
         self.failed = 0
-        self._next_event = None
 
-    def on_start(self) -> None:
-        self._next_event = self.sim.schedule(
-            self.start_delay + self.rng.expovariate(1.0 / self.mean_interval),
-            self._download,
-        )
-
-    def on_stop(self) -> None:
-        if self._next_event is not None:
-            self._next_event.cancel()
-
-    def download_once(self, filename: str | None = None) -> None:
-        """Run one full control+data FTP session immediately."""
+    def download_once(self, node: Node, filename: str | None = None) -> None:
+        """Run one full control+data FTP session from ``node`` immediately."""
         chosen = filename if filename is not None else self.rng.choice(self.files)
-        data_listener_port = self.node.tcp.allocate_port()
+        data_listener_port = node.tcp.allocate_port()
         received = {"bytes": 0, "eof": False}
-        control = self.node.tcp.socket()
+        control = node.tcp.socket()
 
         def on_data_conn(data_sock: TcpSocket) -> None:
             def on_data(s: TcpSocket, payload: bytes, length: int, app_data: object) -> None:
@@ -174,7 +161,7 @@ class FtpClient(Process):
             data_sock.on_data = on_data
             data_sock.on_close = on_data_eof
 
-        data_listener = self.node.tcp.listen(data_listener_port, on_data_conn)
+        data_listener = node.tcp.listen(data_listener_port, on_data_conn)
 
         def on_control_data(sock: TcpSocket, payload: bytes, length: int, app_data: object) -> None:
             message = payload.decode("ascii", errors="replace")
@@ -201,11 +188,3 @@ class FtpClient(Process):
 
     def _count_failure(self) -> None:
         self.failed += 1
-
-    def _download(self) -> None:
-        if not self.running:
-            return
-        self.download_once()
-        self._next_event = self.sim.schedule(
-            self.rng.expovariate(1.0 / self.mean_interval), self._download
-        )

@@ -1,7 +1,8 @@
 """HTTP server and client (the TServer's Apache analogue).
 
 The server publishes a small site of pages with deterministic,
-seed-derived sizes; clients request random pages and read the response.
+seed-derived sizes; a client requests a random page and reads the
+response, one session per call.
 Requests and responses are literal HTTP/1.0-style messages so captures
 look like web traffic, with response bodies carried as virtual payload
 bytes of the advertised Content-Length.
@@ -13,6 +14,7 @@ import random
 
 from repro.containers.container import Process
 from repro.sim.address import Ipv4Address
+from repro.sim.node import Node
 from repro.sim.tcp import TcpSocket
 
 HTTP_PORT = 80
@@ -74,46 +76,33 @@ class HttpServer(Process):
         sock.close()
 
 
-class HttpClient(Process):
-    """Fetches random pages from a server at exponential think intervals."""
+class HttpClient:
+    """Fetches random pages from a server, one GET session per call.
 
-    name = "http-client"
+    A :class:`~repro.apps.device.DeviceProfile` builds one client and
+    says when and from which node each session runs, so the client's
+    page choices and counters carry on across container restarts.
+    """
 
     def __init__(
         self,
         server: Ipv4Address,
         pages: list[str],
         port: int = HTTP_PORT,
-        mean_interval: float = 5.0,
         seed: int = 2,
-        start_delay: float = 0.0,
     ) -> None:
-        super().__init__()
         self.server = server
         self.port = port
         self.pages = pages
-        self.mean_interval = mean_interval
         self.rng = random.Random(seed)
-        self.start_delay = start_delay
         self.completed = 0
         self.failed = 0
         self.bytes_fetched = 0
-        self._next_event = None
 
-    def on_start(self) -> None:
-        self._next_event = self.sim.schedule(
-            self.start_delay + self.rng.expovariate(1.0 / self.mean_interval),
-            self._fetch,
-        )
-
-    def on_stop(self) -> None:
-        if self._next_event is not None:
-            self._next_event.cancel()
-
-    def fetch_once(self, path: str | None = None) -> None:
-        """Issue a single GET immediately (used by tests and examples)."""
+    def fetch_once(self, node: Node, path: str | None = None) -> None:
+        """Send one GET from ``node`` immediately."""
         chosen = path if path is not None else self.rng.choice(self.pages)
-        sock = self.node.tcp.socket()
+        sock = node.tcp.socket()
         request = f"GET {chosen} HTTP/1.0\r\nHost: tserver\r\n\r\n".encode("ascii")
 
         def on_established(s: TcpSocket) -> None:
@@ -131,11 +120,3 @@ class HttpClient(Process):
 
     def _count_failure(self) -> None:
         self.failed += 1
-
-    def _fetch(self) -> None:
-        if not self.running:
-            return
-        self.fetch_once()
-        self._next_event = self.sim.schedule(
-            self.rng.expovariate(1.0 / self.mean_interval), self._fetch
-        )

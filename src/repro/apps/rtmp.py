@@ -14,6 +14,7 @@ import random
 from repro.containers.container import Process
 from repro.sim.address import Ipv4Address
 from repro.sim.core import Event
+from repro.sim.node import Node
 from repro.sim.tcp import TcpSocket
 
 RTMP_PORT = 1935
@@ -101,52 +102,38 @@ class RtmpServer(Process):
                 self.sessions_completed += 1
 
 
-class RtmpClient(Process):
-    """Periodically opens playback sessions of random duration."""
+class RtmpClient:
+    """Opens a playback session of random duration, one per call.
 
-    name = "rtmp-client"
+    Driven by a :class:`~repro.apps.device.DeviceProfile`, like
+    :class:`~repro.apps.http.HttpClient`.
+    """
 
     def __init__(
         self,
         server: Ipv4Address,
         port: int = RTMP_PORT,
-        mean_interval: float = 30.0,
         min_duration: float = 5.0,
         max_duration: float = 20.0,
         seed: int = 5,
-        start_delay: float = 0.0,
     ) -> None:
-        super().__init__()
         self.server = server
         self.port = port
-        self.mean_interval = mean_interval
         self.min_duration = min_duration
         self.max_duration = max_duration
         self.rng = random.Random(seed)
-        self.start_delay = start_delay
         self.sessions_completed = 0
         self.bytes_streamed = 0
         self.failed = 0
-        self._next_event = None
 
-    def on_start(self) -> None:
-        self._next_event = self.sim.schedule(
-            self.start_delay + self.rng.expovariate(1.0 / self.mean_interval),
-            self._play,
-        )
-
-    def on_stop(self) -> None:
-        if self._next_event is not None:
-            self._next_event.cancel()
-
-    def play_once(self, duration: float | None = None) -> None:
-        """Open a single playback session immediately."""
+    def play_once(self, node: Node, duration: float | None = None) -> None:
+        """Open a single playback session from ``node`` immediately."""
         chosen = (
             duration
             if duration is not None
             else self.rng.uniform(self.min_duration, self.max_duration)
         )
-        sock = self.node.tcp.socket()
+        sock = node.tcp.socket()
 
         def on_established(s: TcpSocket) -> None:
             s.send(f"play {chosen:.3f}\r\n".encode("ascii"))
@@ -162,11 +149,3 @@ class RtmpClient(Process):
 
     def _count_failure(self) -> None:
         self.failed += 1
-
-    def _play(self) -> None:
-        if not self.running:
-            return
-        self.play_once()
-        self._next_event = self.sim.schedule(
-            self.rng.expovariate(1.0 / self.mean_interval), self._play
-        )

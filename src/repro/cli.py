@@ -1,6 +1,6 @@
 """Command-line interface: ``ddoshield <command>``.
 
-Four commands cover the testbed's day-to-day uses:
+Fourteen commands cover the testbed's day-to-day uses:
 
 * ``ddoshield experiment`` — the full §IV-D reproduction (train + live
   detection), printing Tables I/II;

@@ -38,13 +38,13 @@ class RestartPolicy:
     """When and how the supervisor resurrects a dead container.
 
     ``mode`` follows Docker: ``no`` never restarts, ``on-failure``
-    restarts only crashed (killed) containers, ``always`` also restarts
-    cleanly stopped ones.  Consecutive restarts back off exponentially
-    from ``backoff_base`` up to ``backoff_cap`` with ``jitter``
-    (a fraction of the delay, drawn from the supervisor's seeded RNG so
-    runs stay reproducible).  After ``max_restarts`` consecutive failures
-    the circuit breaker opens and the container stays down; a container
-    that stays up ``reset_after`` seconds closes the breaker again.
+    restarts crashed (killed) containers, never cleanly stopped ones.
+    Consecutive restarts back off exponentially from ``backoff_base`` up
+    to ``backoff_cap`` with ``jitter`` (a fraction of the delay, drawn
+    from the supervisor's seeded RNG so runs stay reproducible).  After
+    ``max_restarts`` consecutive failures the circuit breaker opens and
+    the container stays down; a container that stays up ``reset_after``
+    seconds closes the breaker again.
     """
 
     mode: str = "no"
@@ -152,8 +152,7 @@ class Orchestrator:
             container.name, "exit", f"{'failed' if failed else 'clean'}"
         )
         policy = state.policy
-        wants_restart = policy.mode == "always" or (policy.mode == "on-failure" and failed)
-        if not wants_restart:
+        if policy.mode == "no" or not failed:
             return
         # A healthy stretch closes the circuit breaker.
         uptime = container.uptime

@@ -12,7 +12,8 @@ for the same seed — faults are experimental conditions, not noise.
 Every activation, deactivation and partition edge is recorded as a
 ``fault.<action>`` :class:`~repro.obs.events.ObsEvent` in the run log
 the injector is given (:attr:`FaultInjector.events`; the testbed hands
-over its own).
+over its own).  :meth:`FaultInjector.detach` ends the fault phase: no
+edge of the plan fires after it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro import obs
 from repro.faults.plan import ALL_TARGETS, FaultPlan, FaultSpec
 from repro.obs.events import EventLog
 from repro.sim.channel import ChannelImpairment, CsmaChannel, CsmaNetDevice
-from repro.sim.core import Simulator
+from repro.sim.core import Event, Simulator
 from repro.sim.packet import Packet
 
 
@@ -78,7 +79,8 @@ class FaultInjector(ChannelImpairment):
         self.channel = channel
         self.rng = random.Random(seed)
         self._active: list[_ActiveWireFault] = []
-        self._partitions: dict[int, list[CsmaNetDevice]] = {}
+        self._partitions: dict[int, tuple[FaultSpec, list[CsmaNetDevice]]] = {}
+        self._edges: list[Event] = []
         self._resolve = None  # name -> CsmaNetDevice, set by schedule_plan
         self.events = events if events is not None else obs.run_log()
         self.frames_lost = 0
@@ -109,11 +111,11 @@ class FaultInjector(ChannelImpairment):
         for spec in plan.wire_specs():
             offset = start_at - self.sim.now
             if spec.kind == "partition":
-                self.sim.schedule(offset + spec.start, self._start_partition, spec)
-                self.sim.schedule(offset + spec.stop, self._end_partition, spec)
+                begin, end = self._start_partition, self._end_partition
             else:
-                self.sim.schedule(offset + spec.start, self._activate, spec)
-                self.sim.schedule(offset + spec.stop, self._deactivate, spec)
+                begin, end = self._activate, self._deactivate
+            self._edges.append(self.sim.schedule(offset + spec.start, begin, spec))
+            self._edges.append(self.sim.schedule(offset + spec.stop, end, spec))
 
     def _activate(self, spec: FaultSpec) -> None:
         model = GilbertElliott(spec) if spec.kind == "burst-loss" else None
@@ -136,11 +138,12 @@ class FaultInjector(ChannelImpairment):
                 # on the injector's (backbone) channel.
                 device.channel.detach(device)  # flushes the TX queue (counted)
                 severed.append(device)
-        self._partitions[id(spec)] = severed
+        self._partitions[id(spec)] = (spec, severed)
         self._log("partition", spec, note=f"severed={len(severed)}")
 
     def _end_partition(self, spec: FaultSpec) -> None:
-        for device in self._partitions.pop(id(spec), []):
+        _, severed = self._partitions.pop(id(spec), (spec, []))
+        for device in severed:
             if not device.attached:
                 device.channel.attach(device)
         self._log("heal", spec)
@@ -197,7 +200,7 @@ class FaultInjector(ChannelImpairment):
 
     @property
     def partitioned_devices(self) -> int:
-        return sum(len(devices) for devices in self._partitions.values())
+        return sum(len(devices) for _, devices in self._partitions.values())
 
     def _log(self, action: str, spec: FaultSpec, note: str = "") -> None:
         self.events.record(
@@ -205,6 +208,15 @@ class FaultInjector(ChannelImpairment):
         )
 
     def detach(self) -> None:
-        """Remove the injector from its channel (end of a fault phase)."""
+        """End the fault phase now: cancel the plan's pending edges, end
+        every fault still in force (logged at this instant) and leave the
+        channel."""
+        for event in self._edges:
+            event.cancel()
+        self._edges.clear()
+        for active in list(self._active):
+            self._deactivate(active.spec)
+        for spec, _ in list(self._partitions.values()):
+            self._end_partition(spec)
         if self.channel.fault_injector is self:
             self.channel.set_fault_injector(None)

@@ -34,9 +34,9 @@ Fault kinds
 ``kill``
     Container crash at ``start``: processes die and the tap is unplugged.
     ``restart`` names the supervision policy the orchestrator applies
-    (``no`` | ``on-failure`` | ``always``); ``duration`` bounds the
-    expected blind window used for degraded-accuracy scoring (it does
-    not delay the restart — backoff does).
+    (``no`` | ``on-failure``); ``duration`` bounds the expected blind
+    window used for degraded-accuracy scoring (it does not delay the
+    restart — backoff does).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 FAULT_KINDS = ("loss", "burst-loss", "corrupt", "jitter", "partition", "kill")
-RESTART_MODES = ("no", "on-failure", "always")
+RESTART_MODES = ("no", "on-failure")
 
 #: Wildcard target: every device on the LAN.
 ALL_TARGETS = "*"

@@ -58,7 +58,6 @@ _ALL_TARGETS = "*"
 _FALLBACK_EDGES = {
     "supervisor.kill": ("container", True),
     "supervisor.exit": ("container", True),
-    "supervisor.unhealthy": ("container", True),
     "supervisor.restart": ("container", False),
     "fault.partition": ("link", True),
     "fault.heal": ("link", False),

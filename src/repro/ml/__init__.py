@@ -1,11 +1,11 @@
 """From-scratch machine learning (the scikit-learn / TensorFlow substitute).
 
 Implements every model the paper evaluates — Random Forest
-(:mod:`repro.ml.random_forest`), the entropy-penalised unsupervised
-K-Means of Sinaga & Yang cited by the paper (:mod:`repro.ml.kmeans`), and
-a 1-D CNN with Adam (:mod:`repro.ml.cnn`) — plus the future-work models
-from §V (linear SVM, Isolation Forest, autoencoder) and the §VI federated
-learning emulation (:mod:`repro.ml.federated`).  Shared infrastructure:
+(:mod:`repro.ml.random_forest`), K-Means with k-means++ seeding
+(:mod:`repro.ml.kmeans`), and a 1-D CNN with Adam (:mod:`repro.ml.cnn`) —
+plus the future-work models from §V (linear SVM, Isolation Forest,
+autoencoder) and the §VI federated learning emulation
+(:mod:`repro.ml.federated`).  Shared infrastructure:
 classification metrics (:mod:`repro.ml.metrics`), scalers and splits
 (:mod:`repro.ml.preprocessing`), and PKL persistence with size metering
 (:mod:`repro.ml.serialization`).
@@ -14,7 +14,7 @@ classification metrics (:mod:`repro.ml.metrics`), scalers and splits
 from repro.ml.autoencoder import AutoencoderDetector
 from repro.ml.cnn import CnnClassifier, Sequential
 from repro.ml.isolation_forest import IsolationForestDetector
-from repro.ml.kmeans import KMeans, KMeansDetector, UnsupervisedKMeans
+from repro.ml.kmeans import KMeans, KMeansDetector
 from repro.ml.metrics import (
     ClassificationReport,
     accuracy_score,
@@ -50,7 +50,6 @@ __all__ = [
     "RandomForestClassifier",
     "Sequential",
     "StandardScaler",
-    "UnsupervisedKMeans",
     "accuracy_score",
     "confusion_matrix",
     "evaluate_classifier",

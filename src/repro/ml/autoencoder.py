@@ -11,16 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.layers import Adam, Dense, Layer, ReLU
+from repro.ml.cnn import Sequential
+from repro.ml.layers import Dense, Layer, ReLU
 from repro.ml.preprocessing import NotFittedError
 
 
 class _MseHead:
     """Mean-squared-error loss for reconstruction."""
 
-    def forward(self, output: np.ndarray, target: np.ndarray) -> float:
+    def forward(self, output: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+        """Returns (mean loss, reconstruction), as the softmax head
+        returns (mean loss, probabilities)."""
         self._diff = output - target
-        return float(np.mean(self._diff**2))
+        return float(np.mean(self._diff**2)), output
 
     def backward(self) -> np.ndarray:
         return 2.0 * self._diff / self._diff.size
@@ -63,12 +66,6 @@ class AutoencoderDetector:
             Dense(self.hidden, self.n_features, rng),
         ]
 
-    def _forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        assert self.layers_ is not None
-        for layer in self.layers_:
-            x = layer.forward(x, training=training)
-        return x
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "AutoencoderDetector":
         """Train on the benign subset of (X, y); calibrate the threshold."""
         X = np.asarray(X, dtype=float)
@@ -76,27 +73,18 @@ class AutoencoderDetector:
         benign = X[y == 0]
         if len(benign) < 10:
             raise ValueError("need at least 10 benign samples to profile")
-        self.layers_ = self._build()
-        params: list[np.ndarray] = []
-        for layer in self.layers_:
-            params.extend(layer.params())
-        optimizer = Adam(params, lr=self.lr)
-        loss_head = _MseHead()
-        rng = np.random.default_rng(self.random_state)
-        n = len(benign)
-        for _ in range(self.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, self.batch_size):
-                batch = benign[order[start : start + self.batch_size]]
-                out = self._forward(batch, training=True)
-                loss_head.forward(out, batch)
-                grad = loss_head.backward()
-                for layer in reversed(self.layers_):
-                    grad = layer.backward(grad)
-                grads: list[np.ndarray] = []
-                for layer in self.layers_:
-                    grads.extend(layer.grads())
-                optimizer.step(grads)
+        net = Sequential(self._build())
+        net.loss = _MseHead()
+        net.fit(
+            benign,
+            benign,
+            epochs=self.epochs,
+            batch_size=self.batch_size,
+            lr=self.lr,
+            seed=self.random_state,
+        )
+        # Only the layers are kept: the saved model is their weights.
+        self.layers_ = net.layers
         errors = self.reconstruction_error(benign)
         self.threshold_ = float(np.quantile(errors, self.quantile))
         return self
@@ -106,7 +94,7 @@ class AutoencoderDetector:
         if self.layers_ is None:
             raise NotFittedError("AutoencoderDetector before fit")
         X = np.asarray(X, dtype=float)
-        out = self._forward(X, training=False)
+        out = Sequential(self.layers_).forward(X)
         return np.mean((out - X) ** 2, axis=1)
 
     def predict(self, X: np.ndarray) -> np.ndarray:

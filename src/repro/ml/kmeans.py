@@ -1,13 +1,8 @@
-"""K-Means clustering, including the unsupervised variant the paper cites.
+"""K-Means clustering for the IDS.
 
-Three layers:
+Two layers:
 
-* :class:`KMeans` — classic Lloyd iteration with k-means++ seeding;
-* :class:`UnsupervisedKMeans` — the entropy-penalised U-k-means of
-  Sinaga & Yang (2020), the paper's §IV-B reference: it starts from many
-  candidate clusters, penalises each cluster's mixing proportion through
-  an entropy term, and discards starved clusters, so the number of
-  clusters is learned rather than given;
+* :class:`KMeans` — Lloyd iteration with k-means++ seeding;
 * :class:`KMeansDetector` — the IDS adapter: clusters the training
   features, labels each cluster by its majority ground-truth class, and
   classifies new packets by nearest centroid.
@@ -152,170 +147,31 @@ class KMeans:
         return state
 
 
-class UnsupervisedKMeans:
-    """U-k-means (Sinaga & Yang 2020): learns the number of clusters.
-
-    Each iteration assigns points to the cluster minimising
-    ``||x - a_k||^2 - gamma * ln(alpha_k)`` where ``alpha_k`` are mixing
-    proportions updated from the assignments; the entropy penalty starves
-    clusters that explain little data, and clusters whose proportion
-    drops below ``1/n`` are discarded.  ``gamma`` decays each iteration so
-    the procedure converges to plain k-means on the surviving clusters.
-    """
-
-    def __init__(
-        self,
-        max_clusters: int = 20,
-        max_iter: int = 60,
-        gamma_decay: float = 0.9,
-        gamma_scale: float = 0.5,
-        tol: float = 1e-6,
-        random_state: int = 0,
-    ) -> None:
-        if max_clusters < 2:
-            raise ValueError(f"max_clusters must be >= 2, got {max_clusters}")
-        if gamma_scale < 0:
-            raise ValueError(f"gamma_scale must be >= 0, got {gamma_scale}")
-        self.max_clusters = max_clusters
-        self.max_iter = max_iter
-        self.gamma_decay = gamma_decay
-        self.gamma_scale = gamma_scale
-        self.tol = tol
-        self.random_state = random_state
-        self.cluster_centers_: np.ndarray | None = None
-        self.mixing_proportions_: np.ndarray | None = None
-        self.labels_: np.ndarray | None = None
-        self.n_clusters_: int = 0
-        self.n_iter_: int = 0
-
-    def _entropy_rate(self, iteration: int) -> float:
-        """Strength of the mixing-proportion entropy push (decays)."""
-        return self.gamma_decay**iteration
-
-    def fit(self, X: np.ndarray) -> "UnsupervisedKMeans":
-        X = np.asarray(X, dtype=float)
-        n = len(X)
-        k = min(self.max_clusters, n)
-        rng = np.random.default_rng(self.random_state)
-        rows = _Rows(X)
-        centers = _kmeans_pp_init(rows, k, rng)
-        alpha = np.full(k, 1.0 / k)
-        # gamma is set from the scale of actual point-to-centre squared
-        # distances so the -gamma*ln(alpha) penalty competes with them:
-        # large clusters then absorb points whose distance margin is
-        # smaller than the penalty gap (the paper's rich-get-richer
-        # mechanism that starves spurious clusters).
-        d2 = rows.sq_dists(centers)
-        gamma = self.gamma_scale * float(np.mean(d2.min(axis=1))) + 1e-12
-        labels = np.zeros(n, dtype=int)
-        for iteration in range(self.max_iter):
-            penalty = -gamma * np.log(np.maximum(alpha, 1e-12))
-            cost = rows.sq_dists(centers) + penalty[None, :]
-            new_labels = np.argmin(cost, axis=1)
-            counts = np.bincount(new_labels, minlength=len(centers)).astype(float)
-            proportions = counts / n
-            # Entropy-penalised mixing update (Sinaga & Yang eq. 20):
-            # clusters whose ln(alpha) falls below the mixture's mean
-            # log-proportion are pushed further down and eventually
-            # drop below the 1/n discard line.
-            safe = np.maximum(proportions, 1e-12)
-            mean_log = float(np.sum(safe * np.log(safe)))
-            alpha = proportions + self._entropy_rate(iteration) * safe * (
-                np.log(safe) - mean_log
-            )
-            alpha = np.maximum(alpha, 0.0)
-            keep = alpha >= (1.0 / n)
-            if keep.sum() < 1:
-                keep = counts == counts.max()
-            if not keep.all():
-                centers = centers[keep]
-                alpha = alpha[keep]
-                total = alpha.sum()
-                alpha = alpha / total if total > 0 else np.full(len(centers), 1.0 / len(centers))
-                cost = rows.sq_dists(centers) - gamma * np.log(
-                    np.maximum(alpha, 1e-12)
-                )[None, :]
-                new_labels = np.argmin(cost, axis=1)
-            new_centers = _cluster_means(X, new_labels, centers)
-            shift = float(np.max(np.abs(new_centers - centers))) if len(centers) else 0.0
-            stable = np.array_equal(new_labels, labels) and shift < self.tol
-            centers = new_centers
-            labels = new_labels
-            gamma *= self.gamma_decay
-            self.n_iter_ = iteration + 1
-            if stable and iteration > 0:
-                break
-        self.cluster_centers_ = centers
-        self.mixing_proportions_ = np.bincount(
-            labels, minlength=len(centers)
-        ).astype(float) / n
-        self.labels_ = labels
-        self.n_clusters_ = len(centers)
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Nearest-centroid cluster index per row."""
-        if self.cluster_centers_ is None:
-            raise NotFittedError("UnsupervisedKMeans.predict before fit")
-        X = np.asarray(X, dtype=float)
-        return _nearest_center(X, self.cluster_centers_)
-
-    def __getstate__(self) -> dict:
-        # See KMeans.__getstate__: keep saved models centroid-sized.
-        state = dict(self.__dict__)
-        state["labels_"] = None
-        return state
-
-
 class KMeansDetector:
     """Clusters traffic features, then labels clusters by majority class.
 
     This is the paper's K-Means IDS: unsupervised structure discovery
-    with a thin supervised mapping from cluster to benign/malicious.
-    With ``auto_k=True`` (default) it uses :class:`UnsupervisedKMeans`;
-    otherwise plain :class:`KMeans` with ``n_clusters``.
+    (:class:`KMeans` with ``n_clusters``) with a thin supervised mapping
+    from cluster to benign/malicious.
     """
 
-    def __init__(
-        self,
-        n_clusters: int = 8,
-        auto_k: bool = True,
-        max_clusters: int = 20,
-        gamma_scale: float = 0.5,
-        random_state: int = 0,
-    ) -> None:
+    def __init__(self, n_clusters: int = 8, random_state: int = 0) -> None:
         self.n_clusters = n_clusters
-        self.auto_k = auto_k
-        self.max_clusters = max_clusters
-        self.gamma_scale = gamma_scale
         self.random_state = random_state
-        self.clusterer_: KMeans | UnsupervisedKMeans | None = None
+        self.clusterer_: KMeans | None = None
         self.cluster_labels_: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "KMeansDetector":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
-        if self.auto_k:
-            self.clusterer_ = UnsupervisedKMeans(
-                max_clusters=self.max_clusters,
-                gamma_scale=self.gamma_scale,
-                random_state=self.random_state,
-            )
-        else:
-            self.clusterer_ = KMeans(
-                n_clusters=self.n_clusters, random_state=self.random_state
-            )
-        self.clusterer_.fit(X)
+        self.clusterer_ = KMeans(
+            n_clusters=self.n_clusters, random_state=self.random_state
+        ).fit(X)
         assignments = self.clusterer_.labels_
         assert assignments is not None
-        n_found = (
-            self.clusterer_.n_clusters_
-            if isinstance(self.clusterer_, UnsupervisedKMeans)
-            else self.n_clusters
-        )
-        labels = np.zeros(n_found, dtype=int)
+        labels = np.zeros(self.n_clusters, dtype=int)
         overall_majority = int(np.bincount(y).argmax())
-        for cluster in range(n_found):
+        for cluster in range(self.n_clusters):
             members = y[assignments == cluster]
             labels[cluster] = (
                 int(np.bincount(members).argmax()) if len(members) else overall_majority

@@ -47,7 +47,7 @@ from repro.ids.defense import (
     MitigationPlan,
     UpstreamFilter,
 )
-from repro.sim import CsmaLan, PacketProbe, SegmentedLan, Simulator
+from repro.sim import CsmaLan, Event, PacketProbe, SegmentedLan, Simulator
 from repro.sim.tracing import PcapWriter
 from repro.testbed.scenario import AttackPhase, Scenario
 
@@ -102,7 +102,7 @@ class Testbed:
             self.sim, self.lan, seed=self.scenario.seed + 9000, events=self.events
         )
         self.fault_injector: FaultInjector | None = None
-        self.last_fault_base: float | None = None
+        self._kill_edges: list[Event] = []
         self.tserver: Container | None = None
         self.attacker: Container | None = None
         self.devices: list[Container] = []
@@ -265,7 +265,10 @@ class Testbed:
 
         ``fault_plan`` (falling back to ``scenario.fault_plan``) schedules
         impairments, partitions, and container crashes relative to the
-        capture's start.
+        capture's start.  The plan ends with the capture: its pending
+        edges are cancelled and faults still in force end at the
+        capture's end, while a restart the supervisor already scheduled
+        still happens.
         """
         if not self._built:
             self.build()
@@ -310,6 +313,8 @@ class Testbed:
                 if self.scenario.churn_interval > 0:
                     self._schedule_churn(base + duration)
                 self.sim.run(until=base + duration)
+                if plan is not None:
+                    self._end_faults()
                 span.set("packets", probe.count)
         finally:
             self.lan.channel.remove_probe(probe)
@@ -345,12 +350,22 @@ class Testbed:
                     self.orchestrator.supervise(
                         target, RestartPolicy(mode=spec.restart)
                     )
-                self.sim.schedule_abs(
-                    base + spec.start, self.orchestrator.kill, target
+                self._kill_edges.append(
+                    self.sim.schedule_abs(base + spec.start, self.orchestrator.kill, target)
                 )
         self.fault_injector = injector
-        self.last_fault_base = base
         return injector
+
+    def _end_faults(self) -> None:
+        """End the armed plan now: cancel its pending wire, partition and
+        kill edges, end every fault still in force (its
+        ``fault.deactivate``/``fault.heal`` logged at this instant) and
+        detach the injector, which keeps its counters."""
+        for event in self._kill_edges:
+            event.cancel()
+        self._kill_edges.clear()
+        if self.fault_injector is not None:
+            self.fault_injector.detach()
 
     def _resolve_device(self, name: str):
         container = self.orchestrator.containers.get(name)

@@ -90,9 +90,7 @@ def default_model_specs(seed: int = 0) -> list[ModelSpec]:
         ),
         ModelSpec(
             "K-Means",
-            lambda n, s=seed: KMeansDetector(
-                n_clusters=40, auto_k=False, random_state=s
-            ),
+            lambda n, s=seed: KMeansDetector(n_clusters=40, random_state=s),
             stat_set="normalized",
             include_details=True,
             include_timestamp=False,

@@ -45,7 +45,6 @@ class Scenario:
     channel_delay: str = "6.56us"
     subnet: str = "10.0.0.0"
     window_seconds: float = 1.0
-    include_ips: bool = False
     # Benign traffic shape
     mean_session_interval: float = 7.0
     mean_dns_interval: float = 2.0

@@ -30,11 +30,9 @@ class TestHttp:
     def test_single_fetch_roundtrip(self, env):
         sim, _, _, tserver, dev = env
         server = tserver.exec(HttpServer(seed=1))
-        client = dev.exec(
-            HttpClient(tserver.node.address, server.page_names(), mean_interval=1e9)
-        )
+        client = HttpClient(tserver.node.address, server.page_names())
         page = server.page_names()[0]
-        client.fetch_once(page)
+        client.fetch_once(dev.node, page)
         sim.run(until=10.0)
         assert client.completed == 1
         assert server.requests_served == 1
@@ -48,41 +46,18 @@ class TestHttp:
     def test_unknown_page_404(self, env):
         sim, _, _, tserver, dev = env
         server = tserver.exec(HttpServer())
-        client = dev.exec(
-            HttpClient(tserver.node.address, ["/missing.html"], mean_interval=1e9)
-        )
-        client.fetch_once("/missing.html")
+        client = HttpClient(tserver.node.address, ["/missing.html"])
+        client.fetch_once(dev.node, "/missing.html")
         sim.run(until=10.0)
         assert server.not_found == 1
         assert client.completed == 1  # the 404 response still completes
-
-    def test_periodic_fetching(self, env):
-        sim, _, _, tserver, dev = env
-        server = tserver.exec(HttpServer())
-        client = dev.exec(
-            HttpClient(tserver.node.address, server.page_names(), mean_interval=2.0, seed=3)
-        )
-        sim.run(until=30.0)
-        assert client.completed >= 5
-
-    def test_client_stop_cancels_timer(self, env):
-        sim, _, _, tserver, dev = env
-        server = tserver.exec(HttpServer())
-        client = dev.exec(
-            HttpClient(tserver.node.address, server.page_names(), mean_interval=1.0)
-        )
-        client.stop()
-        sim.run(until=20.0)
-        assert client.completed == 0
 
     def test_server_refused_after_stop(self, env):
         sim, _, _, tserver, dev = env
         server = tserver.exec(HttpServer())
         server.stop()
-        client = dev.exec(
-            HttpClient(tserver.node.address, ["/page0.html"], mean_interval=1e9)
-        )
-        client.fetch_once()
+        client = HttpClient(tserver.node.address, ["/page0.html"])
+        client.fetch_once(dev.node)
         sim.run(until=10.0)
         assert client.completed == 0
         assert client.failed == 1  # RST from closed port
@@ -92,11 +67,9 @@ class TestFtp:
     def test_full_session_transfers_file(self, env):
         sim, _, _, tserver, dev = env
         server = tserver.exec(FtpServer(seed=2))
-        client = dev.exec(
-            FtpClient(tserver.node.address, server.file_names(), mean_interval=1e9)
-        )
+        client = FtpClient(tserver.node.address, server.file_names())
         filename = server.file_names()[0]
-        client.download_once(filename)
+        client.download_once(dev.node, filename)
         sim.run(until=60.0)
         assert client.downloads_completed == 1
         assert server.transfers_completed == 1
@@ -105,15 +78,8 @@ class TestFtp:
     def test_bad_password_rejected(self, env):
         sim, _, _, tserver, dev = env
         server = tserver.exec(FtpServer())
-        client = dev.exec(
-            FtpClient(
-                tserver.node.address,
-                server.file_names(),
-                password="wrong",
-                mean_interval=1e9,
-            )
-        )
-        client.download_once()
+        client = FtpClient(tserver.node.address, server.file_names(), password="wrong")
+        client.download_once(dev.node)
         sim.run(until=30.0)
         assert client.downloads_completed == 0
         assert client.failed == 1
@@ -122,10 +88,8 @@ class TestFtp:
     def test_missing_file_550(self, env):
         sim, _, _, tserver, dev = env
         server = tserver.exec(FtpServer())
-        client = dev.exec(
-            FtpClient(tserver.node.address, ["no-such-file.bin"], mean_interval=1e9)
-        )
-        client.download_once()
+        client = FtpClient(tserver.node.address, ["no-such-file.bin"])
+        client.download_once(dev.node)
         sim.run(until=30.0)
         assert client.failed == 1
 
@@ -167,8 +131,8 @@ class TestRtmp:
     def test_stream_delivers_bitrate(self, env):
         sim, _, _, tserver, dev = env
         server = tserver.exec(RtmpServer(bitrate_bps=400_000, chunk_interval=0.1))
-        client = dev.exec(RtmpClient(tserver.node.address, mean_interval=1e9))
-        client.play_once(duration=5.0)
+        client = RtmpClient(tserver.node.address)
+        client.play_once(dev.node, duration=5.0)
         sim.run(until=30.0)
         assert client.sessions_completed == 1
         assert server.sessions_started == 1
@@ -192,8 +156,8 @@ class TestRtmp:
     def test_server_stop_ends_sessions(self, env):
         sim, _, _, tserver, dev = env
         server = tserver.exec(RtmpServer(chunk_interval=0.1))
-        client = dev.exec(RtmpClient(tserver.node.address, mean_interval=1e9))
-        client.play_once(duration=60.0)
+        client = RtmpClient(tserver.node.address)
+        client.play_once(dev.node, duration=60.0)
         sim.run(until=2.0)
         streamed_before = client.bytes_streamed
         assert streamed_before > 0

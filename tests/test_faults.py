@@ -300,6 +300,23 @@ class TestTestbedWiring:
         assert testbed.fault_injector is injector
         assert testbed.lan.channel.fault_injector is injector
 
+    def test_plan_ends_with_its_capture(self):
+        from repro.testbed import Scenario, Testbed
+
+        testbed = Testbed(Scenario(n_devices=3, seed=11)).build()
+        plan = FaultPlan.of(FaultSpec(kind="loss", start=0.0, duration=30.0, rate=0.2))
+        testbed.capture(10.0, fault_plan=plan)
+        injector = testbed.fault_injector
+        lost = injector.frames_lost
+        assert lost > 0
+        ends = [(e.kind, e.time) for e in testbed.events.events if e.kind.startswith("fault.")]
+        assert ends == [("fault.activate", 0.0), ("fault.deactivate", 10.0)]
+        assert testbed.lan.channel.fault_injector is None
+        first = len(testbed.events)
+        testbed.capture(25.0)
+        assert injector.frames_lost == lost
+        assert not [e for e in testbed.events.events[first:] if e.kind.startswith("fault.")]
+
 
 class _FailingModel:
     def predict(self, X):

@@ -1,10 +1,10 @@
-"""Tests for KMeans, U-k-means, and the cluster-labelling detector."""
+"""Tests for KMeans and the cluster-labelling detector."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ml import KMeans, KMeansDetector, UnsupervisedKMeans, accuracy_score
+from repro.ml import KMeans, KMeansDetector, accuracy_score
 from repro.ml import kmeans as kmeans_module
 from repro.ml.kmeans import _Rows, _cluster_means, _kmeans_pp_init, _pairwise_sq_dists
 from repro.ml.preprocessing import NotFittedError
@@ -78,7 +78,7 @@ class TestFitKernelsMatchReference:
         "make",
         [
             lambda: KMeans(n_clusters=40, random_state=3),
-            lambda: UnsupervisedKMeans(max_clusters=20, random_state=3),
+            lambda: KMeans(n_clusters=8, random_state=3),
         ],
     )
     def test_fits_match_reference_fits(self, make, monkeypatch):
@@ -90,10 +90,7 @@ class TestFitKernelsMatchReference:
         assert fast.n_iter_ == reference.n_iter_ > 1
         assert fast.cluster_centers_.tobytes() == reference.cluster_centers_.tobytes()
         assert fast.labels_.tobytes() == reference.labels_.tobytes()
-        if isinstance(fast, KMeans):
-            assert fast.inertia_ == reference.inertia_
-        else:
-            assert fast.mixing_proportions_.tobytes() == reference.mixing_proportions_.tobytes()
+        assert fast.inertia_ == reference.inertia_
 
 
 class TestDistances:
@@ -162,62 +159,17 @@ class TestKMeans:
         assert set(np.unique(a.labels_)) <= {0, 1}
 
 
-class TestUnsupervisedKMeans:
-    def test_discovers_cluster_count(self):
-        X, _, _ = blobs(k=3, n_per=80, sep=10.0, seed=4)
-        uk = UnsupervisedKMeans(max_clusters=12, gamma_scale=2.0, random_state=0).fit(X)
-        assert 2 <= uk.n_clusters_ <= 6  # near the true 3, never the cap
-
-    def test_mixing_proportions_sum_to_one(self):
-        X, _, _ = blobs(k=2, seed=5)
-        uk = UnsupervisedKMeans(max_clusters=10, random_state=0).fit(X)
-        assert uk.mixing_proportions_.sum() == pytest.approx(1.0)
-        assert (uk.mixing_proportions_ > 0).all()
-
-    def test_labels_cover_all_points(self):
-        X, _, _ = blobs(k=3, seed=6)
-        uk = UnsupervisedKMeans(random_state=0).fit(X)
-        assert len(uk.labels_) == len(X)
-        assert uk.labels_.max() < uk.n_clusters_
-
-    def test_single_blob_collapses_to_few_clusters(self):
-        rng = np.random.default_rng(7)
-        X = rng.normal(0, 0.2, (150, 3))
-        uk = UnsupervisedKMeans(max_clusters=15, gamma_scale=2.0, random_state=0).fit(X)
-        assert uk.n_clusters_ <= 4
-
-    def test_gamma_scale_controls_pruning(self):
-        """A stronger entropy penalty prunes more aggressively."""
-        rng = np.random.default_rng(8)
-        X = rng.normal(0, 1.0, (200, 3))
-        gentle = UnsupervisedKMeans(max_clusters=15, gamma_scale=0.1, random_state=0).fit(X)
-        harsh = UnsupervisedKMeans(max_clusters=15, gamma_scale=3.0, random_state=0).fit(X)
-        assert harsh.n_clusters_ <= gentle.n_clusters_
-
-    def test_invalid_gamma_scale(self):
-        with pytest.raises(ValueError):
-            UnsupervisedKMeans(gamma_scale=-1.0)
-
-    def test_predict_before_fit_raises(self):
-        with pytest.raises(NotFittedError):
-            UnsupervisedKMeans().predict(np.zeros((2, 2)))
-
-    def test_invalid_max_clusters(self):
-        with pytest.raises(ValueError):
-            UnsupervisedKMeans(max_clusters=1)
-
-
 class TestKMeansDetector:
     def test_classifies_separated_classes(self):
         X, true_labels, _ = blobs(k=2, sep=10.0, seed=8)
         y = (true_labels == 1).astype(int)
-        detector = KMeansDetector(auto_k=True, random_state=0).fit(X, y)
+        detector = KMeansDetector(random_state=0).fit(X, y)
         assert accuracy_score(y, detector.predict(X)) > 0.95
 
     def test_fixed_k_mode(self):
         X, true_labels, _ = blobs(k=2, sep=10.0, seed=9)
         y = (true_labels == 1).astype(int)
-        detector = KMeansDetector(n_clusters=4, auto_k=False, random_state=0).fit(X, y)
+        detector = KMeansDetector(n_clusters=4, random_state=0).fit(X, y)
         assert detector.n_clusters_ == 4
         assert accuracy_score(y, detector.predict(X)) > 0.95
 
@@ -237,5 +189,5 @@ class TestKMeansDetector:
         X2, _, _ = blobs(k=2, sep=12.0, seed=12)
         X = np.vstack([X1, X2 + 100.0])
         y = np.array([0] * len(X1) + [1] * len(X2))
-        detector = KMeansDetector(auto_k=True, max_clusters=16, random_state=0).fit(X, y)
+        detector = KMeansDetector(n_clusters=16, random_state=0).fit(X, y)
         assert accuracy_score(y, detector.predict(X)) > 0.95

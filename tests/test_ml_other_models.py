@@ -120,7 +120,7 @@ class TestSerialization:
 
         X, y = linear_data(n=800, d=10, seed=6)
         forest = RandomForestClassifier(n_estimators=20, max_depth=10).fit(X, y)
-        kmeans = KMeansDetector(auto_k=True, random_state=0).fit(X, y)
+        kmeans = KMeansDetector(n_clusters=40, random_state=0).fit(X, y)
         assert model_size_kb(kmeans) < model_size_kb(forest) / 5
 
 

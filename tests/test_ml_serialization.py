@@ -38,7 +38,7 @@ def fitted_models():
     X, y = make_dataset()
     rf = RandomForestClassifier(n_estimators=10, random_state=0)
     rf.fit(X, y)
-    km = KMeansDetector(n_clusters=4, auto_k=False, random_state=0)
+    km = KMeansDetector(n_clusters=4, random_state=0)
     km.fit(X, y)
     cnn = CnnClassifier(n_features=X.shape[1], epochs=2, random_state=0)
     cnn.fit(X, y)

@@ -142,15 +142,6 @@ class TestRestart:
         sim.run(until=30.0)
         assert container.state is ContainerState.STOPPED
 
-    def test_always_restarts_clean_stop(self, env):
-        sim, lan, orch = env
-        container = orch.run("victim", Image("test/app"))
-        orch.supervise("victim", RestartPolicy(mode="always", jitter=0.0))
-        container.stop()
-        sim.run(until=30.0)
-        assert container.state is ContainerState.RUNNING
-        assert container.restart_count == 1
-
     def test_circuit_breaker_gives_up(self, env):
         sim, lan, orch = env
         container = orch.run("victim", Image("test/app"))
